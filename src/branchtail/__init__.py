@@ -62,7 +62,6 @@ from .renewal import (
     TiltError,
     TiltedMeasure,
     make_tilted,
-    sample_increment,
     verify_product_measure,
 )
 from .constants import (

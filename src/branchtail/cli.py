@@ -41,7 +41,7 @@ from .engine import (
     write_batch_csv,
 )
 from .model import ModelError, make_model
-from .moments import generation_moment_bound, jackknife_mean_se
+from .moments import generation_moment_bound, jackknife_mean_se, make_report
 from .renewal import TiltError, verify_product_measure
 from .tails import TailError, tail_report
 
@@ -83,6 +83,14 @@ DEFAULTS = {
         "corrupt_bound_self_test": False,
     },
 }
+
+
+# leaves holding an integer (or a list of them), and those that may be None
+_INTEGER_LEAVES = ("reps", "seed", "workers", "budget", "tails.bootstrap",
+                   "verify.renewal_n", "verify.renewal_reps",
+                   "verify.moment_depths", "verify.moment_reps",
+                   "verify.iterate_depth", "verify.iterate_reps")
+_OPTIONAL_INTEGER_LEAVES = ("depth", "tails.k")
 
 
 class ConfigError(ValueError):
@@ -140,7 +148,20 @@ def load_config(path, sets=(), **flag_overrides):
         raise ConfigError("config needs a model section")
     if config["depth"] in ("exact", "none"):
         config["depth"] = None
+    _check_integers(config)
     return config
+
+
+def _check_integers(config):
+    """Reject a non-integer at an integer leaf before any work starts."""
+    for dotted in _OPTIONAL_INTEGER_LEAVES + _INTEGER_LEAVES:
+        section, _, key = dotted.rpartition(".")
+        value = (config[section] if section else config)[key]
+        if value is None and dotted in _OPTIONAL_INTEGER_LEAVES:
+            continue
+        items = value if isinstance(value, list) else [value]
+        if not all(type(x) is int for x in items):
+            raise ConfigError(f"{dotted} must be an integer, got {value!r}")
 
 
 def _output_dir(config):
@@ -181,17 +202,26 @@ def _jsonable(value):
 # subcommands
 
 
+def _solve(config, model):
+    solver = config["solver"]
+    return solve_alpha(model, bracket=tuple(solver["bracket"]),
+                       tol=solver["tol"])
+
+
+def _solve_and_check(config, model):
+    """Root and theorem-condition report; raises SolverError without a root."""
+    sol = _solve(config, model)
+    return sol, check_conditions(model, sol, config["kind"],
+                                 epsilon=config["solver"]["epsilon"])
+
+
 def cmd_solve_alpha(config):
     model = make_model(config["model"])
-    solver = config["solver"]
     try:
-        sol = solve_alpha(model, bracket=tuple(solver["bracket"]),
-                          tol=solver["tol"])
+        sol, conditions = _solve_and_check(config, model)
     except SolverError as err:
         print(f"solver failed: {err}", file=sys.stderr)
         return 1
-    conditions = check_conditions(model, sol, config["kind"],
-                                  epsilon=solver["epsilon"])
     out = os.path.join(_output_dir(config), "alpha_solution.json")
     _write_json(out, {
         "alpha": sol.alpha,
@@ -214,14 +244,10 @@ def cmd_solve_alpha(config):
 
 def _precheck(config, model):
     """Solve and check conditions ahead of a simulation."""
-    solver = config["solver"]
     try:
-        sol = solve_alpha(model, bracket=tuple(solver["bracket"]),
-                          tol=solver["tol"])
+        _, conditions = _solve_and_check(config, model)
     except SolverError as err:
         return f"cannot certify the model (solver: {err})"
-    conditions = check_conditions(model, sol, config["kind"],
-                                  epsilon=solver["epsilon"])
     if not conditions.overall_pass:
         failed = [e.name for e in conditions.entries if e.status != "pass"]
         return "condition check failed: " + ", ".join(sorted(failed))
@@ -259,7 +285,7 @@ def cmd_analyze(config, batch_path):
     model = make_model(config["model"])
     try:
         batch = read_batch_csv(batch_path)
-    except (OSError, EngineError) as err:
+    except (OSError, ValueError) as err:  # EngineError, or bytes not UTF-8
         print(f"cannot read batch: {err}", file=sys.stderr)
         return 1
     if batch.model_fingerprint != model.fingerprint():
@@ -287,11 +313,9 @@ def cmd_analyze(config, batch_path):
                ["threshold", "survival", "std_error"], report.survival)
 
     constant_payload = {"available": False, "reason": None}
-    solver = config["solver"]
     kind = batch.base_kind or batch.kind
     try:
-        sol = solve_alpha(model, bracket=tuple(solver["bracket"]),
-                          tol=solver["tol"])
+        sol = _solve(config, model)
         constant = tail_constant_report(model, sol, kind, r_batch=batch,
                                         rng=np.random.default_rng(
                                             config["seed"]))
@@ -347,19 +371,21 @@ def _verify_moment_grid(config, model, corrupt=False):
                 continue
             powered = w_n ** beta
             estimate = float(powered.mean())
-            se = jackknife_mean_se(powered)
             bound_value = bound.value
             if corrupt:
                 bound_value = estimate / 2.0  # self-test: must now fail
                 cell["status"] = "self-test-corrupted"
             else:
                 cell["status"] = "checked"
+            report = make_report("W_n", beta, estimate,
+                                 jackknife_mean_se(powered), bound_value,
+                                 bound.method)
             cell.update(
-                estimate=estimate,
-                std_error=se,
-                bound=bound_value,
-                bound_method=bound.method,
-                holds=bool(estimate <= bound_value + 3.0 * se),
+                estimate=report.estimate,
+                std_error=report.std_error,
+                bound=report.bound,
+                bound_method=report.bound_name,
+                holds=report.holds,
             )
             cells.append(cell)
     return cells
@@ -391,13 +417,11 @@ def _verify_iteration(config, model):
 
 def cmd_verify(config, corrupt_bound_self_test=False):
     model = make_model(config["model"])
-    solver = config["solver"]
     corrupt = corrupt_bound_self_test or (
         config["verify"]["corrupt_bound_self_test"])
     checks = []
     try:
-        sol = solve_alpha(model, bracket=tuple(solver["bracket"]),
-                          tol=solver["tol"])
+        sol = _solve(config, model)
         rng = np.random.default_rng(config["seed"])
         checks.extend(_verify_renewal(config, model, sol, rng))
     except (SolverError, TiltError) as err:
@@ -448,8 +472,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     depth = args.depth
-    if depth is not None and depth not in ("exact", "none"):
-        depth = int(depth)
+    if depth is not None and depth.isdigit():
+        depth = int(depth)  # load_config judges every other spelling
     try:
         config = load_config(
             args.config, sets=args.sets, output_dir=args.output_dir,

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelError, MomentValue, dominance_ratio, sum_moment
+from .model import (ModelError, MomentValue, dominance_ratio,
+                    reduce_to_parents, sum_moment)
 from .moments import estimate_moment, fixed_point_mean_exact, jackknife_mean_se
 
 _MC_SEED = 0x7C057A17
@@ -92,19 +93,16 @@ def tail_constant_closed_form(model, alpha, kind):
 
 
 def _resampled_terms(model, r_values, reps, rng, draw_toll):
-    """Per-replication pieces of the MC integrand, vectorized.
+    """Draw ``reps`` fresh node vectors with resampled R-values on the children.
 
-    Returns (q, sums, power_sums, maxes) where sums aggregates
-    C_i R_i per replication, power_sums aggregates (C_i R_i)^alpha
-    pieces lazily (caller powers first), so this returns the raw terms
-    instead: (q, terms, owner, counts).
+    Returns (q, counts, terms): the tolls (zeros unless ``draw_toll``),
+    the child counts, and the flat child terms C_i R_i laid out as
+    ``draw_offspring`` lays out the weights.
     """
     q = model.draw_q(rng, reps) if draw_toll else np.zeros(reps)
     counts, weights = model.draw_offspring(rng, reps)
     draws = r_values[rng.integers(0, r_values.size, weights.size)]
-    terms = weights * draws
-    owner = np.repeat(np.arange(reps), counts)
-    return q, terms, owner
+    return q, counts, weights * draws
 
 
 def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
@@ -155,16 +153,13 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
     alpha, mu = sol.alpha, sol.mu
 
     draw_toll = kind in ("linear", "max")
-    q, terms, owner = _resampled_terms(model, r_values, reps, rng, draw_toll)
-    power_sums = np.zeros(reps)
-    np.add.at(power_sums, owner, terms ** alpha)
+    q, counts, terms = _resampled_terms(model, r_values, reps, rng, draw_toll)
+    power_sums = reduce_to_parents(np.add, counts, terms ** alpha)
     if kind == "max":
-        peaks = np.zeros(reps)
-        np.maximum.at(peaks, owner, terms)
+        peaks = reduce_to_parents(np.maximum, counts, terms)
         outer = np.maximum(peaks, q) ** alpha
     else:
-        sums = np.zeros(reps)
-        np.add.at(sums, owner, terms)
+        sums = reduce_to_parents(np.add, counts, terms)
         if kind == "linear":
             sums += q
         outer = sums ** alpha
@@ -178,11 +173,16 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
 def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
     """One-sided bounds on H from component moments.
 
-    For the toll-driven kinds, E[Q^alpha] / (alpha mu) bounds H from
-    below when alpha >= 1 and from above when alpha <= 1; at alpha = 1
-    the two collapse and pin H exactly.  For the martingale kind with
-    non-integer alpha, an upper bound uses the (p-1)-th fixed-point
-    moment estimated from a batch, p = ceil(alpha).
+    The bounds compare the H integrand, E[R^alpha - sum_i (C_i R_i)^alpha]
+    over alpha mu, with E[Q^alpha] / (alpha mu) pointwise.  Linear kind:
+    a lower bound when alpha >= 1 (t^alpha is superadditive) and an upper
+    bound when alpha <= 1 (subadditive); at alpha = 1 the two collapse
+    and pin H exactly.  Max kind: an upper bound for every alpha, since
+    (Q v max_i x_i)^alpha <= Q^alpha + sum_i x_i^alpha.  Max-plus kind:
+    an upper bound when alpha <= 1, since (Q + max_i x_i)^alpha <=
+    Q^alpha + max_i x_i^alpha there; above 1 no bound.  For the
+    martingale kind with non-integer alpha, an upper bound uses the
+    (p-1)-th fixed-point moment estimated from a batch, p = ceil(alpha).
 
     Returns
     -------
@@ -191,15 +191,17 @@ def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
     """
     alpha, mu = sol.alpha, sol.mu
     lower = upper = None
-    if kind in ("linear", "max", "max-plus"):
-        base = model.q_moment(alpha) / (alpha * mu)
-        at_one = abs(alpha - 1.0) <= _INTEGER_TOL
+    toll_bound = model.q_moment(alpha) / (alpha * mu)
+    if kind == "linear":
         if alpha >= 1.0 - _INTEGER_TOL:
-            lower = base
+            lower = toll_bound
         if alpha <= 1.0 + _INTEGER_TOL:
-            upper = base
-        if at_one:
-            lower = upper = base
+            upper = toll_bound
+    elif kind == "max":
+        upper = toll_bound
+    elif kind == "max-plus":
+        if alpha <= 1.0 + _INTEGER_TOL:
+            upper = toll_bound
     elif kind == "homogeneous-martingale":
         if _alpha_integer(alpha) is None and r_batch is not None:
             p = math.ceil(alpha)

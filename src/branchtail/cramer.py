@@ -20,6 +20,7 @@ from .model import (
     ModelError,
     moment_function,
     moment_function_deriv,
+    reduce_to_parents,
     sum_moment,
 )
 from .moments import contractive
@@ -376,8 +377,7 @@ def _epsilon_condition(model, alpha, epsilon):
     rng = _mc_entry_rng()
     reps = 200_000
     counts, weights = model.draw_offspring(rng, reps)
-    inner = np.zeros(reps)
-    np.add.at(inner, np.repeat(np.arange(reps), counts), weights ** (alpha / (1 + epsilon)))
+    inner = reduce_to_parents(np.add, counts, weights ** (alpha / (1 + epsilon)))
     powered = inner ** (1 + epsilon)
     return (
         float(powered.mean()),

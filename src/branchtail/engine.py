@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import make_value_law, moment_function
+from .model import make_value_law, moment_function, reduce_to_parents
 from .moments import constructive_constant, contractive
 
 DEFAULT_BUDGET = 10 ** 7
@@ -109,108 +109,75 @@ def _validate_kind(model, kind):
         raise EngineError(f"kind {kind!r} requires P(Q > 0) > 0")
 
 
-def _replicate_forward(model, kind, depth, budget, rng):
-    """One replication of the linear, max, or martingale kind.
-
-    Returns (value or None, node count, generation sizes).  A None value
-    means the node budget was hit and the replication abandoned.
-    """
-    homogeneous = kind == "homogeneous-martingale"
-    pi = np.ones(1)
-    nodes = 1
-    z = [1]
-    level = 0
-    acc = 0.0
-    while True:
-        if not homogeneous:
-            q = model.draw_q(rng, pi.size)
-            if kind == "linear":
-                acc += float(q @ pi)
-            else:
-                acc = max(acc, float((q * pi).max()))
-        elif depth is not None and level == depth:
-            marks = model.draw_mark(rng, pi.size)
-            acc = float(marks @ pi)
-        if depth is not None and level == depth:
-            break
-        counts, weights = model.draw_offspring(rng, pi.size)
-        born = int(counts.sum())
-        nodes += born
-        if nodes > budget:
-            return None, nodes, z
-        if born == 0:
-            break
-        pi = np.repeat(pi, counts) * weights
-        z.append(born)
-        level += 1
-    return acc, nodes, z
+def _draw_tolls(model, kind, last, boundary, rng, size):
+    """Generation tolls: none, martingale marks, the r0 boundary, or Q."""
+    if kind is None:
+        return None
+    if kind == "homogeneous-martingale":
+        return model.draw_mark(rng, size) if last else None
+    if last and boundary is not None:
+        return boundary.sample(rng, size)
+    return model.draw_q(rng, size)
 
 
-def _replicate_maxplus(model, depth, budget, rng):
-    """One replication of (max over children of C R) + Q, folded backward."""
-    transcript = []
-    width = 1
-    nodes = 1
-    z = [1]
-    level = 0
-    while True:
-        q = model.draw_q(rng, width)
-        if depth is not None and level == depth:
-            transcript.append((q, None, None))
-            break
-        counts, weights = model.draw_offspring(rng, width)
-        born = int(counts.sum())
-        nodes += born
-        if nodes > budget:
-            return None, nodes, z
-        transcript.append((q, counts, weights))
-        if born == 0:
-            break
-        width = born
-        z.append(born)
-        level += 1
+def _fold_maxplus(transcript):
+    """Backward fold of (max over children of C R) + Q over the generations."""
     value = np.zeros(0)
-    for q, counts, weights in reversed(transcript):
-        acc = np.zeros(q.size)
-        if counts is not None and value.size:
-            owners = np.repeat(np.arange(q.size), counts)
-            np.maximum.at(acc, owners, weights * value)
-        value = acc + q
-    return float(value[0]), nodes, z
+    for tolls, counts, weights in reversed(transcript):
+        peaks = (np.zeros(tolls.size) if counts is None
+                 else reduce_to_parents(np.maximum, counts, weights * value))
+        value = peaks + tolls
+    return float(value[0])
 
 
-def _replicate_iterate(model, base_kind, r0_law, n, budget, rng):
-    """One replication of the n-step iterate from initial law r0.
+def _replicate(model, kind, depth, budget, rng, boundary=None):
+    """One replication, grown generation by generation; returns (value, nodes, z).
 
-    Grows the tree to generation n, folds generations 0..n-1 with the
-    base recursion, and closes with the boundary term built from iid
-    draws of r0 at generation n.
+    This is the one place that encodes the stream order: generation k
+    draws its tolls, then its counts, then its child weights.  The tolls
+    fold by sum (linear, martingale), by max (max), or into a transcript
+    that the max-plus kind folds backward once the tree is grown; only
+    max-plus keeps per-generation arrays.  The martingale kind draws
+    marks at generation ``depth`` only; a ``boundary`` law replaces Q at
+    generation ``depth`` (iterate-from); kind None draws no tolls and
+    returns the path weights of the last generation grown, empty when
+    the tree dies before ``depth``.
+
+    A None value means the node budget was hit and the replication
+    abandoned; ``z`` lists the generation sizes grown so far.
     """
     pi = np.ones(1)
     nodes = 1
     z = [1]
+    level = 0
     acc = 0.0
-    for level in range(n):
-        q = model.draw_q(rng, pi.size)
-        if base_kind == "linear":
-            acc += float(q @ pi)
-        else:
-            acc = max(acc, float((q * pi).max()))
+    transcript = []
+    while True:
+        last = level == depth
+        tolls = _draw_tolls(model, kind, last, boundary, rng, pi.size)
+        if kind == "max":
+            acc = max(acc, float((tolls * pi).max()))
+        elif kind == "max-plus":
+            transcript.append((tolls, None, None))
+        elif tolls is not None:
+            acc += float(tolls @ pi)
+        if last:
+            break
         counts, weights = model.draw_offspring(rng, pi.size)
-        born = int(counts.sum())
-        nodes += born
+        nodes += weights.size
         if nodes > budget:
             return None, nodes, z
-        if born == 0:
-            return acc, nodes, z
+        if weights.size == 0:
+            pi = weights  # empty: the tree died
+            break
+        if kind == "max-plus":
+            transcript[-1] = (tolls, counts, weights)
         pi = np.repeat(pi, counts) * weights
-        z.append(born)
-    boundary = r0_law.sample(rng, pi.size)
-    if base_kind == "linear":
-        acc += float(boundary @ pi)
-    else:
-        acc = max(acc, float((boundary * pi).max()))
-    return acc, nodes, z
+        z.append(weights.size)
+        level += 1
+    if kind == "max-plus":
+        return _fold_maxplus(transcript), nodes, z
+    return (pi if kind is None else acc), nodes, z
 
 
 def generation_weights(model, depth, budget, rng):
@@ -225,17 +192,7 @@ def generation_weights(model, depth, budget, rng):
         raise EngineError("budget must be >= 1")
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise EngineError("depth must be an integer >= 0")
-    pi = np.ones(1)
-    nodes = 1
-    for _ in range(depth):
-        counts, weights = model.draw_offspring(rng, pi.size)
-        born = int(counts.sum())
-        nodes += born
-        if nodes > budget:
-            return None, nodes
-        if born == 0:
-            return np.zeros(0), nodes
-        pi = np.repeat(pi, counts) * weights
+    pi, nodes, _ = _replicate(model, None, int(depth), budget, rng)
     return pi, nodes
 
 
@@ -250,10 +207,7 @@ def sample_recursion(model, kind, depth, budget, rng):
     depth = _validate_depth(model, depth)
     if budget < 1:
         raise EngineError("budget must be >= 1")
-    if kind == "max-plus":
-        value, nodes, _ = _replicate_maxplus(model, depth, budget, rng)
-    else:
-        value, nodes, _ = _replicate_forward(model, kind, depth, budget, rng)
+    value, nodes, _ = _replicate(model, kind, depth, budget, rng)
     return value, nodes
 
 
@@ -264,21 +218,16 @@ def _run_chunk(model, kind, depth, budget, seed, start, count,
     Returns plain arrays only.  Level sums are integers so chunk merges
     are exact and independent of chunk execution order.
     """
-    r0_law = make_value_law(r0_params) if r0_params is not None else None
+    boundary = make_value_law(r0_params) if r0_params is not None else None
+    fold = base_kind or kind
     values = []
     node_counts = np.empty(count, dtype=np.int64)
     truncated = np.zeros(count, dtype=bool)
     level_sums = []
     level_maxes = []
     for j in range(count):
-        rng = _replication_rng(seed, start + j)
-        if kind == "iterate-from":
-            value, nodes, z = _replicate_iterate(
-                model, base_kind, r0_law, depth, budget, rng)
-        elif kind == "max-plus":
-            value, nodes, z = _replicate_maxplus(model, depth, budget, rng)
-        else:
-            value, nodes, z = _replicate_forward(model, kind, depth, budget, rng)
+        value, nodes, z = _replicate(model, fold, depth, budget,
+                                     _replication_rng(seed, start + j), boundary)
         node_counts[j] = nodes
         if value is None:
             truncated[j] = True
@@ -364,6 +313,10 @@ def _batch_common(model, kind, depth, reps, budget, seed, workers,
 def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
               workers=1):
     """Sample ``reps`` independent replications into a SampleBatch.
+
+    ``kind`` is linear (R = sum_i C_i R_i + Q), max (R = max(max_i C_i R_i,
+    Q)), max-plus (R = max_i C_i R_i + Q) or homogeneous-martingale (the
+    generation-``depth`` path weights summed against marks).
 
     The output is a deterministic function of (model, kind, depth, reps,
     budget, seed): replication i derives its stream from (seed, i), so
@@ -500,7 +453,11 @@ def read_batch_csv(path):
                 in_header = False
                 continue
             if line:
-                values.append(float(line))
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise EngineError(
+                        f"batch CSV value row {line!r} is not a number") from None
     try:
         depth = None if meta["depth"] == "exact" else int(meta["depth"])
         level_mean = (np.array([float(x) for x in meta["level_mean"].split(",")])
@@ -508,7 +465,7 @@ def read_batch_csv(path):
         level_max = (np.array([int(x) for x in meta["level_max"].split(",")],
                               dtype=np.int64)
                      if meta["level_max"] else np.zeros(0, dtype=np.int64))
-        return SampleBatch(
+        fields = dict(
             kind=meta["kind"],
             depth=depth,
             values=np.asarray(values, dtype=float),
@@ -525,6 +482,9 @@ def read_batch_csv(path):
         )
     except KeyError as exc:
         raise EngineError(f"batch CSV missing metadata field {exc}") from None
+    except ValueError as exc:
+        raise EngineError(f"batch CSV metadata does not parse: {exc}") from None
+    return SampleBatch(**fields)
 
 
 def summary(batch):

@@ -34,6 +34,7 @@ __all__ = [
     "moment_function_mc",
     "sum_moment",
     "dominance_ratio",
+    "reduce_to_parents",
 ]
 
 
@@ -467,6 +468,18 @@ class VectorModel:
         return self._fingerprint
 
 
+def reduce_to_parents(ufunc, counts, child_values):
+    """Fold child values into their parents with ``ufunc`` (add or maximum).
+
+    Children come in the layout ``draw_offspring`` returns: those of
+    parent i are contiguous and in parent order.  A parent without
+    children gets 0.
+    """
+    out = np.zeros(counts.size)
+    ufunc.at(out, np.repeat(np.arange(counts.size), counts), child_values)
+    return out
+
+
 def make_model(spec, recursion_kind=None):
     """Build a validated VectorModel from a config section.
 
@@ -548,8 +561,7 @@ def moment_function_deriv(model, theta):
 def moment_function_mc(model, theta, reps, rng):
     """Monte Carlo counterpart of moment_function, for cross-checks."""
     counts, weights = model.draw_offspring(rng, reps)
-    terms = np.zeros(reps)
-    np.add.at(terms, np.repeat(np.arange(reps), counts), weights ** theta)
+    terms = reduce_to_parents(np.add, counts, weights ** theta)
     se = float(terms.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return MomentValue(float(terms.mean()), "monte-carlo", se)
 
@@ -588,9 +600,7 @@ def sum_moment(model, beta, reps=100_000, rng=None):
     if reps < 1:
         raise ModelError("reps must be >= 1")
     counts, weights = model.draw_offspring(rng, reps)
-    sums = np.zeros(reps)
-    np.add.at(sums, np.repeat(np.arange(reps), counts), weights)
-    powered = sums ** beta
+    powered = reduce_to_parents(np.add, counts, weights) ** beta
     se = float(powered.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     suspect = reps >= 1000 and dominance_ratio(powered) > 0.05
     return MomentValue(float(powered.mean()), "monte-carlo", se, suspect=suspect)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, MomentValue, moment_function, sum_moment
+from .model import (ModelError, MomentValue, moment_function,
+                    reduce_to_parents, sum_moment)
 
 _JACKKNIFE_BLOCKS = 100
 
@@ -236,12 +237,8 @@ def verify_sum_inequality(model, beta, y_values, reps, rng):
     counts, weights = model.draw_offspring(rng, reps)
     draws = y[rng.integers(0, y.size, weights.size)]
     terms = weights * draws
-    owner = np.repeat(np.arange(reps), counts)
-    sums = np.zeros(reps)
-    np.add.at(sums, owner, terms)
-    power_sums = np.zeros(reps)
-    np.add.at(power_sums, owner, terms ** beta)
-    lhs_samples = sums ** beta - power_sums
+    lhs_samples = (reduce_to_parents(np.add, counts, terms) ** beta
+                   - reduce_to_parents(np.add, counts, terms ** beta))
     estimate = float(lhs_samples.mean())
     se = float(lhs_samples.std(ddof=1) / math.sqrt(reps))
     y_moment = float(np.mean(y ** (p - 1)))

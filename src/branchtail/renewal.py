@@ -96,11 +96,6 @@ def make_tilted(model, alpha):
     )
 
 
-def sample_increment(tilted, rng, size):
-    """Draw iid increments of the tilted log-weight walk."""
-    return tilted.sample(rng, size)
-
-
 def _g_constant(u):
     return np.ones_like(u)
 

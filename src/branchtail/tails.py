@@ -156,11 +156,15 @@ def hill_estimator(batch, k):
         When k is out of range or the tail window touches nonpositive
         values (log-ratios undefined there).
     """
-    values = _values_of(batch)
-    n = values.size
+    return _hill_descending(np.sort(_values_of(batch))[::-1], k)
+
+
+def _hill_descending(ordered, k):
+    """hill_estimator over values already sorted in descending order."""
+    n = ordered.size
     if not 2 <= k < n:
         raise TailError(f"tail count k={k} must satisfy 2 <= k < {n}")
-    top = np.sort(values)[::-1][: k + 1]
+    top = ordered[: k + 1]
     if top[k] <= 0.0:
         raise TailError("tail window contains nonpositive values")
     denom = float(np.sum(np.log(top[:k] / top[k])))
@@ -187,14 +191,15 @@ def hill_sweep(batch, points=_SWEEP_POINTS):
     if k_lo >= n:
         raise TailError("too few values for a tail-count sweep")
     ks = np.unique(np.geomspace(k_lo, k_hi, points).astype(np.int64))
+    ordered = np.sort(values)[::-1]
     rows = []
     estimates = []
     for k in ks:
-        est = hill_estimator(values, int(k))
+        est = _hill_descending(ordered, int(k))
         rows.append((int(k), est.alpha, est.std_error))
         estimates.append(est.alpha)
     estimates = np.asarray(estimates)
-    reference = hill_estimator(values, k_ref).alpha
+    reference = _hill_descending(ordered, k_ref).alpha
     drift = float(estimates.max() - estimates.min()) / reference
     return rows, drift > _SWEEP_DRIFT_THRESHOLD
 

@@ -18,7 +18,8 @@ from scipy.optimize import bisect
 from scipy.stats import ks_2samp
 
 from branchtail.cli import main
-from branchtail.constants import tail_constant_closed_form, tail_constant_mc
+from branchtail.constants import (tail_constant_bounds, tail_constant_closed_form,
+                                  tail_constant_mc)
 from branchtail.cramer import ContractionRootError, solve_alpha
 from branchtail.engine import iterate_from, run_batch, truncation_bound
 from branchtail.model import make_model, moment_function
@@ -205,6 +206,8 @@ def test_09_max_recursion_dual_route(model_b, sol_b, b_max_exact):
     mc = tail_constant_mc(model_b, sol_b, "max", b_max_exact.values)
     plat = plateau_constant(b_max_exact, sol_b.alpha)
     assert abs(plat.h - mc.value) <= 0.25 * mc.value
+    lower, upper = tail_constant_bounds(model_b, sol_b, "max")
+    assert lower is None and mc.value - 3.0 * mc.std_error <= upper
 
 
 def test_10_determinism_and_truncation_certificate(model_b09, tmp_path):

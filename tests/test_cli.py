@@ -220,6 +220,36 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
                  str(tmp_path / "missing.csv")]) == 1
 
 
+@pytest.mark.parametrize("argv, corrupt", [
+    (["--depth", "abc", "simulate"], None),
+    (["--depth", "2.5", "simulate"], None),
+    (["--set", "reps=many", "simulate", "--force"], None),
+    (["--set", "verify.renewal_n=[1, x]", "verify"], None),
+    # (row of batch.csv to overwrite, its new text): -2 is the last value
+    (["analyze"], (-2, "abc")),
+    (["analyze"], (3, "# seed=seven")),
+    (["analyze"], (-2, "\udcff")),
+], ids=["depth-word", "depth-float", "reps-word", "int-list", "value-row",
+        "metadata-row", "not-utf8"])
+def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
+                                               corrupt):
+    path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,
+                        seed=7, output_dir=str(tmp_path))
+    if corrupt is not None:
+        assert main(["--config", path, "simulate"]) == 0
+        batch = tmp_path / "batch.csv"
+        lines = batch.read_text().split("\n")
+        row, text = corrupt
+        lines[row] = text
+        batch.write_bytes("\n".join(lines).encode(errors="surrogateescape"))
+        argv = argv + ["--batch", str(batch)]
+        capsys.readouterr()
+    assert main(["--config", path] + argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # verify
 
 

@@ -14,7 +14,7 @@ from branchtail.cramer import solve_alpha
 from branchtail.engine import run_batch
 from branchtail.model import make_model
 
-from conftest import H_A, H_B, model_a_spec
+from conftest import H_A, H_B, model_a_spec, model_b_spec
 
 
 def det(value):
@@ -144,9 +144,24 @@ def test_bounds_one_sided_away_from_one(model_a, sol_a, model_b09):
     assert upper is None
     assert lower == pytest.approx(1.0 / (2.0 * sol_a.mu), rel=1e-12)
     sol_b09 = solve_alpha(model_b09, bracket=(0.3, 3.0))
+    assert sol_b09.alpha > 1.0
     low_09, up_09 = tail_constant_bounds(model_b09, sol_b09, "max")
-    assert up_09 is None  # root above one
-    assert low_09 > 0
+    assert low_09 is None  # the max integrand never exceeds Q^alpha
+    assert up_09 == pytest.approx(1.0 / (sol_b09.alpha * sol_b09.mu),
+                                  rel=1e-12)
+    # max-plus: (Q + M)^alpha <= Q^alpha + M^alpha fails above alpha = 1
+    assert tail_constant_bounds(model_b09, sol_b09, "max-plus") == (None, None)
+
+
+def test_bounds_max_kinds_upper_below_one():
+    m = make_model(dict(model_b_spec(), c_scale=1.1))
+    sol = solve_alpha(m, bracket=(0.3, 3.0))
+    assert sol.alpha < 1.0
+    expected = 1.0 / (sol.alpha * sol.mu)
+    for kind in ("max", "max-plus"):
+        lower, upper = tail_constant_bounds(m, sol, kind)
+        assert lower is None
+        assert upper == pytest.approx(expected, rel=1e-12)
 
 
 def test_bounds_martingale_needs_batch(model_a, sol_a):
@@ -188,4 +203,4 @@ def test_report_absent_routes_are_none(model_b09):
     report = tail_constant_report(model_b09, sol, "max")
     assert report.closed_form is None
     assert report.mc_value is None and report.mc_std_error is None
-    assert report.lower_bound is not None and report.upper_bound is None
+    assert report.lower_bound is None and report.upper_bound is not None

@@ -43,10 +43,16 @@ def test_max_chain_toll_dominates():
     assert np.all(batch.values == 1.0)
 
 
-def test_maxplus_chain_folds_exactly():
+@pytest.mark.parametrize("n, depth, expected", [
     # value_n = max(c * value_{n-1}, 0) + q gives the same geometric series
-    batch = run_batch(chain_model(), "max-plus", 10, 32, seed=3)
-    expected = sum(0.5 ** k for k in range(11))
+    (1, 10, sum(0.5 ** k for k in range(11))),
+    # max_i C_i R_i + Q = 0.5 * 1 + 1; the (max, +) form max_i (C_i + R_i) + Q
+    # would give 0.5 + 1 + 1 = 2.5
+    (2, 1, 1.5),
+], ids=["chain", "two-children"])
+def test_maxplus_chain_folds_exactly(n, depth, expected):
+    m = make_model({"n": det(n), "c": det(0.5), "q": det(1.0)})
+    batch = run_batch(m, "max-plus", depth, 32, seed=3)
     assert np.all(batch.values == expected)
 
 

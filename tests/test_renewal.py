@@ -9,7 +9,6 @@ from branchtail.renewal import (
     TEST_FUNCTIONS,
     TiltError,
     make_tilted,
-    sample_increment,
     verify_product_measure,
 )
 
@@ -64,7 +63,7 @@ def test_tilt_unsupported_family_is_explicit():
 
 def test_increment_sample_mean_matches_mu(model_a):
     tilted = make_tilted(model_a, 2.0)
-    draws = sample_increment(tilted, np.random.default_rng(17), 200_000)
+    draws = tilted.sample(np.random.default_rng(17), 200_000)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - MU_A) < 3 * se
 
@@ -82,7 +81,7 @@ def test_uniform_family_tilt_mass_and_sampler():
     alpha = err.value.alpha
     tilted = make_tilted(m, alpha)
     assert tilted.total_mass == pytest.approx(1.0, abs=1e-10)
-    draws = sample_increment(tilted, np.random.default_rng(4), 100_000)
+    draws = tilted.sample(np.random.default_rng(4), 100_000)
     # increments are log-weights, so never above log(b)
     assert draws.max() <= math.log(0.8)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
