@@ -85,12 +85,12 @@ DEFAULTS = {
 }
 
 
-# leaves holding an integer (or a list of them), and those that may be None
-_INTEGER_LEAVES = ("reps", "seed", "workers", "budget", "tails.bootstrap",
-                   "verify.renewal_n", "verify.renewal_reps",
-                   "verify.moment_depths", "verify.moment_reps",
-                   "verify.iterate_depth", "verify.iterate_reps")
-_OPTIONAL_INTEGER_LEAVES = ("depth", "tails.k")
+# A leaf takes the type of its default (an int passes as a float).  The
+# defaults do not show which leaves may be None (mapped to the type they
+# hold otherwise) and which lists have a fixed length.
+_NULLABLE = {"depth": int, "output_dir": str, "tails.k": int,
+             "tails.alpha": float}
+_PAIRS = ("solver.bracket", "tails.quantile_band", "verify.iterate_starts")
 
 
 class ConfigError(ValueError):
@@ -103,12 +103,10 @@ def _merge_into(base, incoming, path=""):
         here = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict) and key != "model":
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here} must be a mapping")
+        if isinstance(base[key], dict) and isinstance(value, dict):
             _merge_into(base[key], value, here + ".")
         else:
-            base[key] = value
+            base[key] = value  # _check_leaves judges the type
 
 
 def _apply_set(config, assignment):
@@ -148,20 +146,38 @@ def load_config(path, sets=(), **flag_overrides):
         raise ConfigError("config needs a model section")
     if config["depth"] in ("exact", "none"):
         config["depth"] = None
-    _check_integers(config)
+    _check_leaves(config)
     return config
 
 
-def _check_integers(config):
-    """Reject a non-integer at an integer leaf before any work starts."""
-    for dotted in _OPTIONAL_INTEGER_LEAVES + _INTEGER_LEAVES:
-        section, _, key = dotted.rpartition(".")
-        value = (config[section] if section else config)[key]
-        if value is None and dotted in _OPTIONAL_INTEGER_LEAVES:
+def _like(value, default):
+    if isinstance(default, list):
+        return (isinstance(value, list)
+                and all(_like(x, default[0]) for x in value))
+    return (type(value) is type(default)
+            or (type(value) is int and type(default) is float))
+
+
+def _check_leaves(config, defaults=DEFAULTS, path=""):
+    """Reject a leaf of the wrong type or length before any work starts."""
+    for key, default in defaults.items():
+        dotted, value = path + key, config[key]
+        if dotted == "model" or (value is None and dotted in _NULLABLE):
+            continue  # make_model checks the model; None is allowed here
+        if isinstance(default, dict):
+            if not isinstance(value, dict) or value.keys() != default.keys():
+                raise ConfigError(f"{dotted} must map each of its leaves")
+            _check_leaves(value, default, dotted + ".")
             continue
-        items = value if isinstance(value, list) else [value]
-        if not all(type(x) is int for x in items):
-            raise ConfigError(f"{dotted} must be an integer, got {value!r}")
+        if dotted in _NULLABLE:
+            default = _NULLABLE[dotted]()
+        if _like(value, default) and (dotted not in _PAIRS or len(value) == 2):
+            continue
+        wanted = type(default).__name__
+        if isinstance(default, list):
+            count = "2 " if dotted in _PAIRS else ""
+            wanted = f"a list of {count}{type(default[0]).__name__}"
+        raise ConfigError(f"{dotted} must be {wanted}, got {value!r}")
 
 
 def _output_dir(config):
@@ -346,22 +362,11 @@ def _verify_moment_grid(config, model, corrupt=False):
     betas = config["verify"]["moment_betas"]
     reps = config["verify"]["moment_reps"]
     seed = config["seed"]
-    values = {}
-    for n in depths:
-        batch = run_batch(model, "linear", n, reps, budget=config["budget"],
-                          seed=seed)
-        prev = values.get(n - 1)
-        if n == 0:
-            values[0] = (batch.values, batch.values)
-        else:
-            if prev is None:
-                shallower = run_batch(model, "linear", n - 1, reps,
-                                      budget=config["budget"], seed=seed)
-                prev = (shallower.values, None)
-            values[n] = (batch.values, batch.values - prev[0])
     rng = np.random.default_rng(seed)
     for n in depths:
-        w_n = values[n][1] if n > 0 else values[0][0]
+        # W_n = sum over generation n of Pi_v Q_v: the martingale kind's value
+        w_n = run_batch(model, "homogeneous-martingale", n, reps,
+                        budget=config["budget"], seed=seed).values
         for beta in betas:
             cell = {"check": "generation-moment-bound", "n": n, "beta": beta}
             bound = generation_moment_bound(model, beta, n, rng=rng)

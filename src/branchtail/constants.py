@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (ModelError, MomentValue, dominance_ratio,
-                    reduce_to_parents, sum_moment)
+                    reduce_to_parents, resample_children, sum_moment)
 from .moments import estimate_moment, fixed_point_mean_exact, jackknife_mean_se
 
 _MC_SEED = 0x7C057A17
@@ -92,19 +92,6 @@ def tail_constant_closed_form(model, alpha, kind):
     raise ConstantError("closed forms exist at alpha in {1, 2} only")
 
 
-def _resampled_terms(model, r_values, reps, rng, draw_toll):
-    """Draw ``reps`` fresh node vectors with resampled R-values on the children.
-
-    Returns (q, counts, terms): the tolls (zeros unless ``draw_toll``),
-    the child counts, and the flat child terms C_i R_i laid out as
-    ``draw_offspring`` lays out the weights.
-    """
-    q = model.draw_q(rng, reps) if draw_toll else np.zeros(reps)
-    counts, weights = model.draw_offspring(rng, reps)
-    draws = r_values[rng.integers(0, r_values.size, weights.size)]
-    return q, counts, weights * draws
-
-
 def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
                      min_batch=_MIN_BATCH):
     """General Monte Carlo estimate of H, any root exponent.
@@ -152,8 +139,9 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
         rng = np.random.default_rng(_MC_SEED)
     alpha, mu = sol.alpha, sol.mu
 
-    draw_toll = kind in ("linear", "max")
-    q, counts, terms = _resampled_terms(model, r_values, reps, rng, draw_toll)
+    q = (model.draw_q(rng, reps) if kind in ("linear", "max")
+         else np.zeros(reps))
+    counts, terms = resample_children(model, r_values, reps, rng)
     power_sums = reduce_to_parents(np.add, counts, terms ** alpha)
     if kind == "max":
         peaks = reduce_to_parents(np.maximum, counts, terms)

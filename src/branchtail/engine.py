@@ -46,10 +46,10 @@ class EngineError(ValueError):
 class SampleBatch:
     """Immutable result of a batch of replications.
 
-    ``values`` holds the completed replications in replication order;
-    budget-hit replications are excluded from it but counted.  Level
-    statistics summarize generation sizes Z_k over completed
-    replications (absent generations count as size 0).
+    ``values`` holds the completed replications in replication order,
+    finite and nonnegative; budget-hit replications are excluded from it
+    but counted.  Level statistics summarize generation sizes Z_k over
+    completed replications (absent generations count as size 0).
     """
 
     kind: str
@@ -69,8 +69,11 @@ class SampleBatch:
     r0: Optional[dict] = None
 
     def __post_init__(self):
-        if self.values.size and float(self.values.min()) < 0.0:
-            raise EngineError("batch values must be nonnegative")
+        if not (np.isfinite(self.values) & (self.values >= 0.0)).all():
+            raise EngineError("batch values must be finite and nonnegative")
+        if self.values.size != self.stream_count - self.truncated_replications:
+            raise EngineError("batch values disagree with the count of "
+                              "completed replications")
         if self.truncated is not None:
             if int(self.truncated.sum()) != self.truncated_replications:
                 raise EngineError("truncation mask disagrees with its count")
@@ -110,9 +113,7 @@ def _validate_kind(model, kind):
 
 
 def _draw_tolls(model, kind, last, boundary, rng, size):
-    """Generation tolls: none, martingale marks, the r0 boundary, or Q."""
-    if kind is None:
-        return None
+    """Generation tolls: martingale marks, the r0 boundary, or Q."""
     if kind == "homogeneous-martingale":
         return model.draw_mark(rng, size) if last else None
     if last and boundary is not None:
@@ -139,9 +140,7 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
     that the max-plus kind folds backward once the tree is grown; only
     max-plus keeps per-generation arrays.  The martingale kind draws
     marks at generation ``depth`` only; a ``boundary`` law replaces Q at
-    generation ``depth`` (iterate-from); kind None draws no tolls and
-    returns the path weights of the last generation grown, empty when
-    the tree dies before ``depth``.
+    generation ``depth`` (iterate-from).
 
     A None value means the node budget was hit and the replication
     abandoned; ``z`` lists the generation sizes grown so far.
@@ -168,8 +167,7 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
         if nodes > budget:
             return None, nodes, z
         if weights.size == 0:
-            pi = weights  # empty: the tree died
-            break
+            break  # the tree died
         if kind == "max-plus":
             transcript[-1] = (tolls, counts, weights)
         pi = np.repeat(pi, counts) * weights
@@ -177,38 +175,33 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
         level += 1
     if kind == "max-plus":
         return _fold_maxplus(transcript), nodes, z
-    return (pi if kind is None else acc), nodes, z
+    return acc, nodes, z
 
 
-def generation_weights(model, depth, budget, rng):
-    """Path weights of generation ``depth`` for one replication.
+def generation_frontier(model, depth, trees, budget, rng):
+    """Generation-``depth`` path weights of a forest, with their trees.
 
-    Runs the production generation loop (same draw order as the
-    martingale kind) and returns the vector of path products at the
-    requested generation, empty if the tree dies first, or None with
-    the node count when the budget is hit.
+    Grows ``trees`` independent trees one generation at a time from the
+    shared ``rng``: each generation draws the counts of every node in
+    the forest, then all child weights flat.  Returns ``(pi, owner)``,
+    the generation-``depth`` path products and the tree each belongs to,
+    or None when any tree grows more than ``budget`` nodes.  Memory is
+    linear in the forest's generation-``depth`` width (in its widest
+    generation, if the forest shrinks).
     """
-    if budget < 1:
-        raise EngineError("budget must be >= 1")
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise EngineError("depth must be an integer >= 0")
-    pi, nodes, _ = _replicate(model, None, int(depth), budget, rng)
-    return pi, nodes
-
-
-def sample_recursion(model, kind, depth, budget, rng):
-    """One replication; returns (value, node_count).
-
-    ``depth=None`` requests exact termination and requires
-    P(N = 0) > 0.  A replication that exceeds the node budget returns
-    value None with the count at abandonment.
-    """
-    _validate_kind(model, kind)
-    depth = _validate_depth(model, depth)
-    if budget < 1:
-        raise EngineError("budget must be >= 1")
-    value, nodes, _ = _replicate(model, kind, depth, budget, rng)
-    return value, nodes
+    pi = np.ones(trees)
+    owner = np.arange(trees)
+    nodes = np.ones(trees, dtype=np.int64)
+    for _ in range(depth):
+        counts, weights = model.draw_offspring(rng, pi.size)
+        owner = np.repeat(owner, counts)
+        nodes += np.bincount(owner, minlength=trees)
+        if nodes.max() > budget:
+            return None
+        pi = np.repeat(pi, counts) * weights
+    return pi, owner
 
 
 def _run_chunk(model, kind, depth, budget, seed, start, count,
@@ -431,6 +424,9 @@ def write_batch_csv(batch, path):
 def read_batch_csv(path):
     """Reconstruct a SampleBatch written by write_batch_csv.
 
+    Raises EngineError on a field or row that does not parse, and on
+    values that break a SampleBatch invariant: a value that is not finite
+    or a value count other than the header's completed replications.
     Per-replication node counts are not stored in the CSV; the returned
     batch carries the aggregate statistics only.
     """

@@ -35,6 +35,7 @@ __all__ = [
     "sum_moment",
     "dominance_ratio",
     "reduce_to_parents",
+    "resample_children",
 ]
 
 
@@ -478,6 +479,18 @@ def reduce_to_parents(ufunc, counts, child_values):
     out = np.zeros(counts.size)
     ufunc.at(out, np.repeat(np.arange(counts.size), counts), child_values)
     return out
+
+
+def resample_children(model, values, size, rng):
+    """Draw ``size`` node vectors and a resampled value for each child.
+
+    The values are drawn from ``values`` with replacement, after the
+    offspring.  Returns (counts, terms): the child counts and the flat
+    child terms C_i Y_i in the layout ``reduce_to_parents`` takes.
+    """
+    counts, weights = model.draw_offspring(rng, size)
+    draws = values[rng.integers(0, values.size, weights.size)]
+    return counts, weights * draws
 
 
 def make_model(spec, recursion_kind=None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelError, MomentValue, moment_function,
-                    reduce_to_parents, sum_moment)
+                    reduce_to_parents, resample_children, sum_moment)
 
 _JACKKNIFE_BLOCKS = 100
 
@@ -234,9 +234,7 @@ def verify_sum_inequality(model, beta, y_values, reps, rng):
     if reps < 2:
         raise BoundError("reps must be >= 2")
     p = math.ceil(beta)
-    counts, weights = model.draw_offspring(rng, reps)
-    draws = y[rng.integers(0, y.size, weights.size)]
-    terms = weights * draws
+    counts, terms = resample_children(model, y, reps, rng)
     lhs_samples = (reduce_to_parents(np.add, counts, terms) ** beta
                    - reduce_to_parents(np.add, counts, terms ** beta))
     estimate = float(lhs_samples.mean())

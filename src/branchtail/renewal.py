@@ -5,8 +5,8 @@ E[sum_i C_i^alpha g(log C_i)] defines a probability measure eta on the
 log-weight line, and the generation-n weighted measure factorizes as the
 n-fold convolution of eta.  This module builds eta in closed form for
 the supported weight families and verifies the factorization by two
-independent Monte Carlo routes: a tree-side fold over the production
-generation sampler, and a convolution-side sum of iid tilted draws.
+independent Monte Carlo routes: a tree side grown as one forest from the
+shared generator, and a convolution-side sum of iid tilted draws.
 
 The verification is the numerical heart of the tail analysis: the
 plateau constant and the tilted mean both stand on this identity.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import (LognormalValue, ModelError, UniformValue, dominance_ratio,
                     moment_function, moment_function_deriv)
-from .engine import DEFAULT_BUDGET, generation_weights
+from .engine import DEFAULT_BUDGET, generation_frontier
 
 _MASS_TOL = 1e-10
 _MAX_CONVOLUTION = 4
@@ -163,9 +163,10 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
                            budget=DEFAULT_BUDGET):
     """Check the n-fold factorization of the weighted generation measure.
 
-    Tree side: Monte Carlo mean of sum_i Pi_i^alpha g(log Pi_i) over
-    generation-n path products Pi_i, sampled by the production
-    generation loop on the shared ``rng`` stream.  Convolution side:
+    Tree side: Monte Carlo mean over ``reps`` independent trees of
+    sum_i Pi_i^alpha g(log Pi_i) over each tree's generation-n path
+    products Pi_i; the trees are grown as one forest drawn from the
+    shared ``rng`` (``engine.generation_frontier``).  Convolution side:
     E[g(U_1 + ... + U_n)] with iid tilted increments, in closed form
     for the constant function (the n-th power of the total mass) and by
     Monte Carlo otherwise.
@@ -194,16 +195,14 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
     g_fn, g_name = _resolve_g(g, threshold)
     tilted = make_tilted(model, alpha)
 
-    contributions = np.zeros(reps)
-    masses = np.zeros(reps)
-    for i in range(reps):
-        pi, _ = generation_weights(model, n, budget, rng)
-        if pi is None:
-            raise TiltError("node budget hit while folding the tree side")
-        if pi.size:
-            powered = pi ** alpha
-            masses[i] = float(powered.sum())
-            contributions[i] = float(powered @ g_fn(np.log(pi)))
+    forest = generation_frontier(model, n, reps, budget, rng)
+    if forest is None:
+        raise TiltError("node budget hit while folding the tree side")
+    pi, owner = forest
+    powered = pi ** alpha
+    masses = np.bincount(owner, powered, minlength=reps)
+    contributions = np.bincount(owner, powered * g_fn(np.log(pi)),
+                                minlength=reps)
     lhs = float(contributions.mean())
     lhs_se = float(contributions.std(ddof=1) / math.sqrt(reps))
     heavy = dominance_ratio(masses) > 0.05

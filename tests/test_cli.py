@@ -225,12 +225,19 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--depth", "2.5", "simulate"], None),
     (["--set", "reps=many", "simulate", "--force"], None),
     (["--set", "verify.renewal_n=[1, x]", "verify"], None),
+    (["--set", "truncation_beta=abc", "simulate", "--force"], None),
+    (["--set", "verify.moment_betas=abc", "verify"], None),
+    (["--set", "verify.iterate_starts=[1.0]", "verify"], None),
+    (["--set", "verify={renewal_n: [1]}", "verify"], None),
     # (row of batch.csv to overwrite, its new text): -2 is the last value
     (["analyze"], (-2, "abc")),
     (["analyze"], (3, "# seed=seven")),
     (["analyze"], (-2, "\udcff")),
-], ids=["depth-word", "depth-float", "reps-word", "int-list", "value-row",
-        "metadata-row", "not-utf8"])
+    (["analyze"], (-2, "nan")),
+    (["analyze"], (-2, "")),  # a blank row: one value row short
+], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
+        "float-list-word", "float-list-short", "set-section", "value-row",
+        "metadata-row", "not-utf8", "value-nan", "value-dropped"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
                                                corrupt):
     path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,
@@ -248,6 +255,8 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    if corrupt is not None:
+        assert err.startswith("cannot read batch")
 
 
 # verify
@@ -284,3 +293,18 @@ def test_verify_corrupt_hook_exits_three(tmp_path):
     corrupted = [c for c in payload["checks"]
                  if c.get("status") == "self-test-corrupted"]
     assert corrupted and all(c["holds"] is False for c in corrupted)
+
+
+def test_verify_under_a_tight_budget(tmp_path, capsys):
+    # two nodes: the depth-2 moment batch loses some trees, the renewal
+    # forest of depth 2 hits the budget
+    path = quick_verify_config(tmp_path, budget=2)
+    assert main(["--config", path, "verify"]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    payload = read_json(tmp_path / "out" / "verification.json")
+    kinds = {c["check"]: c for c in payload["checks"]}
+    assert kinds["measure-factorization"]["status"] == "precondition-unmet"
+    assert "iteration-convergence" in kinds
+    cells = [c for c in payload["checks"]
+             if c["check"] == "generation-moment-bound"]
+    assert {c["n"] for c in cells} == {0, 2}

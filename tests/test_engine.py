@@ -6,10 +6,10 @@ import pytest
 
 from branchtail.engine import (
     EngineError,
+    generation_frontier,
     iterate_from,
     read_batch_csv,
     run_batch,
-    sample_recursion,
     summary,
     truncation_bound,
     write_batch_csv,
@@ -126,10 +126,14 @@ def test_budget_all_truncated_is_an_error(model_a):
         run_batch(model_a, "linear", 25, 50, budget=1, seed=2)
 
 
-def test_sample_recursion_reports_budget_hit(model_a):
-    rng = np.random.Generator(np.random.Philox(key=[0, 0]))
-    value, nodes = sample_recursion(model_a, "linear", 30, 10, rng)
-    assert value is None and nodes > 10
+def test_generation_frontier_grows_a_forest_with_owners():
+    binary = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
+    rng = np.random.default_rng(0)
+    pi, owner = generation_frontier(binary, 2, 3, 7, rng)
+    assert np.array_equal(pi, np.full(12, 0.25))
+    assert owner.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+    # each tree has 1 + 2 + 4 = 7 nodes
+    assert generation_frontier(binary, 2, 3, 6, rng) is None
 
 
 # validation
