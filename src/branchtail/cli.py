@@ -21,6 +21,7 @@ import copy
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -31,6 +32,7 @@ from scipy import stats as sstats
 from .constants import ConstantError, tail_constant_report
 from .cramer import SolverError, check_conditions, solve_alpha
 from .engine import (
+    _KINDS,
     DEFAULT_BUDGET,
     EngineError,
     iterate_from,
@@ -97,6 +99,21 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e-12 or 1.5e3.
+
+    PyYAML follows YAML 1.1, whose floats need a dot and a signed
+    exponent, so it reads ``1e-12`` as a string.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
+               r"[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def _merge_into(base, incoming, path=""):
     """Recursive dict merge; keys absent from the skeleton are errors."""
     for key, value in incoming.items():
@@ -123,7 +140,7 @@ def _apply_set(config, assignment):
     leaf = keys[-1]
     if keys[0] != "model" and leaf not in target:
         raise ConfigError(f"unknown config key: {dotted}")
-    target[leaf] = yaml.safe_load(raw)
+    target[leaf] = yaml.load(raw, Loader=_Loader)
 
 
 def load_config(path, sets=(), **flag_overrides):
@@ -131,7 +148,7 @@ def load_config(path, sets=(), **flag_overrides):
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path) as handle:
-            loaded = yaml.safe_load(handle)
+            loaded = yaml.load(handle, Loader=_Loader)
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -147,6 +164,9 @@ def load_config(path, sets=(), **flag_overrides):
     if config["depth"] in ("exact", "none"):
         config["depth"] = None
     _check_leaves(config)
+    if config["kind"] not in _KINDS:
+        raise ConfigError(f"kind must be one of {', '.join(_KINDS)}, "
+                          f"got {config['kind']!r}")
     return config
 
 
@@ -485,7 +505,8 @@ def main(argv=None):
             seed=args.seed, reps=args.reps, workers=args.workers,
             kind=args.kind, depth=depth)
     except (ConfigError, ModelError, OSError, yaml.YAMLError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+        # a YAML error spans several lines; the message must keep to one
+        print("config error:", *str(err).split(), file=sys.stderr)
         return 1
     try:
         if args.command == "solve-alpha":

@@ -8,13 +8,16 @@ so the backward fold can run, still without node objects).
 
 Reproducibility contract
 ------------------------
-Replication ``i`` of a batch owns the counter-based stream keyed by
-``(seed, i)``.  Within a replication the draw order per generation is
-fixed: toll values first, then offspring counts, then all child weights
-flat.  Two consequences are load-bearing and tested: runs of the same
-seed at different depths share every draw on the common prefix of
-generations (sample-path monotonicity), and the max kind is coupled
-below the linear kind replication by replication.
+Replication ``i`` of a batch owns the counter-based Philox stream keyed
+by the two uint64 words ``(seed, i)``, read from counter 0.  A chunk of
+replications holds one generator and re-keys it to ``(seed, i)`` with
+counter 0 before replication ``i``, so it draws exactly what a fresh
+generator of that key would.  Within a replication the draw order per
+generation is fixed: toll values first, then offspring counts, then all
+child weights flat.  Two consequences are load-bearing and tested: runs
+of the same seed at different depths share every draw on the common
+prefix of generations (sample-path monotonicity), and the max kind is
+coupled below the linear kind replication by replication.
 
 Replications whose node count exceeds the budget are abandoned and
 counted, never clipped; their values are excluded from estimates.
@@ -81,10 +84,6 @@ class SampleBatch:
     @property
     def completed(self):
         return int(self.values.size)
-
-
-def _replication_rng(seed, index):
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
 def _validate_seed(seed):
@@ -213,14 +212,24 @@ def _run_chunk(model, kind, depth, budget, seed, start, count,
     """
     boundary = make_value_law(r0_params) if r0_params is not None else None
     fold = base_kind or kind
+    # one generator per chunk, re-keyed per replication: building a Philox
+    # costs far more than a small tree's draws
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    key = np.array([seed, 0], dtype=np.uint64)
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     values = []
     node_counts = np.empty(count, dtype=np.int64)
     truncated = np.zeros(count, dtype=bool)
     level_sums = []
     level_maxes = []
     for j in range(count):
-        value, nodes, z = _replicate(model, fold, depth, budget,
-                                     _replication_rng(seed, start + j), boundary)
+        key[1] = start + j
+        bit_generator.state = fresh
+        value, nodes, z = _replicate(model, fold, depth, budget, rng, boundary)
         node_counts[j] = nodes
         if value is None:
             truncated[j] = True

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from branchtail.cli import load_config, main, ConfigError
+from branchtail.cli import DEFAULTS, load_config, main, ConfigError
 
 from conftest import model_a_spec, model_b_spec, uniform_model_spec
 
@@ -229,6 +232,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "verify.moment_betas=abc", "verify"], None),
     (["--set", "verify.iterate_starts=[1.0]", "verify"], None),
     (["--set", "verify={renewal_n: [1]}", "verify"], None),
+    (["--kind", "foo", "solve-alpha"], None),
     # (row of batch.csv to overwrite, its new text): -2 is the last value
     (["analyze"], (-2, "abc")),
     (["analyze"], (3, "# seed=seven")),
@@ -236,8 +240,9 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["analyze"], (-2, "nan")),
     (["analyze"], (-2, "")),  # a blank row: one value row short
 ], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
-        "float-list-word", "float-list-short", "set-section", "value-row",
-        "metadata-row", "not-utf8", "value-nan", "value-dropped"])
+        "float-list-word", "float-list-short", "set-section", "kind-word",
+        "value-row", "metadata-row", "not-utf8", "value-nan",
+        "value-dropped"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
                                                corrupt):
     path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,
@@ -257,6 +262,67 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
     assert len(err.strip().splitlines()) == 1
     if corrupt is not None:
         assert err.startswith("cannot read batch")
+
+
+def test_yaml_floats_without_a_dot(tmp_path, capsys):
+    path = write_config(tmp_path, model_b_spec(0.9),
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "--set", "solver.tol=1e-12",
+                 "solve-alpha"]) == 0
+    assert load_config(path, sets=["solver.tol=1e-12"])["solver"]["tol"] == 1e-12
+    capsys.readouterr()
+    assert main(["--config", path, "--set", "solver.tol=abc",
+                 "solve-alpha"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    # YAML 1.1 reads 1e0 as a string
+    config = tmp_path / "file.yaml"
+    config.write_text(
+        "model:\n"
+        "  n: {family: two-point, values: {0: 0.5, 1: 0.5}}\n"
+        "  c: {family: lognormal, mu: 0.1931471805599453, sigma2: 1e0}\n"
+        "  q: {family: deterministic, value: 1.0}\n"
+        f"output_dir: {tmp_path / 'file_out'}\n")
+    assert load_config(str(config))["model"]["c"]["sigma2"] == 1.0
+    assert main(["--config", str(config), "solve-alpha"]) == 0
+    solution = read_json(tmp_path / "file_out" / "alpha_solution.json")
+    assert solution["alpha"] == pytest.approx(1.0, abs=1e-10)
+
+
+def _leaves(tree, path=""):
+    # a fuzzed output_dir would create directories wherever it points
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{key}.")
+        elif key not in ("model", "output_dir"):
+            yield path + key
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.floats(), st.text(max_size=8))
+_YAML_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)).map(
+    lambda v: yaml.safe_dump(v, default_flow_style=True).split("\n...")[0])
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    return write_config(tmp_path, model_b_spec(0.9),
+                        output_dir=str(tmp_path / "out"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf=st.sampled_from(sorted(_leaves(DEFAULTS))),
+       raw=st.one_of(st.text(max_size=16), _YAML_VALUES))
+def test_set_fuzz_never_escapes_main(fuzz_config, leaf, raw):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", fuzz_config, "--set", f"{leaf}={raw}",
+                     "solve-alpha"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) <= 1
 
 
 # verify

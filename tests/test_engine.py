@@ -1,11 +1,17 @@
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from branchtail import engine
 from branchtail.engine import (
     EngineError,
+    SampleBatch,
     generation_frontier,
     iterate_from,
     read_batch_csv,
@@ -14,7 +20,7 @@ from branchtail.engine import (
     truncation_bound,
     write_batch_csv,
 )
-from branchtail.model import ModelError, make_model
+from branchtail.model import ModelError, make_model, make_value_law
 
 from conftest import RHO_HALF_B09, TRUNC_B09_HALF_20, model_b_spec
 
@@ -158,6 +164,54 @@ def test_toll_free_model_rejected_outside_martingale_kind():
     assert np.allclose(batch.values, (2 * 0.4) ** 4 / 0.8 ** 4 * 0.8 ** 4)
 
 
+def test_seeds_above_two_to_the_63_give_distinct_streams(model_b):
+    # the key is two uint64 words, so no seed is rounded onto another
+    seeds = (0, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batches = [run_batch(model_b, "linear", None, 200, seed=s)
+                   for s in seeds]
+    for i, first in enumerate(batches):
+        for second in batches[i + 1:]:
+            assert not np.array_equal(first.values, second.values)
+
+
+# stream contract v1: replication i reads Philox keyed (seed, i) from counter 0
+
+
+@pytest.mark.parametrize("kind", [
+    "linear", "max", "max-plus", "homogeneous-martingale", "iterate-from"])
+def test_batch_replays_fresh_generator_per_replication(kind):
+    m = make_model({
+        "n": {"family": "poisson", "mean": 1.5},
+        "c": {"family": "uniform", "b": 1.2},
+        "q": {"family": "lognormal", "mu": 0.0, "sigma2": 0.5},
+    })
+    # 2050 replications cross a chunk boundary; the budget abandons some
+    reps, depth, budget, seed = 2050, 6, 40, 987654321
+    r0 = {"family": "lognormal", "mu": 1.0, "sigma2": 1.0}
+    if kind == "iterate-from":
+        batch = iterate_from(m, "linear", r0, depth, reps, seed=seed,
+                             budget=budget)
+        fold, boundary = "linear", make_value_law(r0)
+    else:
+        batch = run_batch(m, kind, depth, reps, budget=budget, seed=seed)
+        fold, boundary = kind, None
+    values, nodes, truncated = [], [], []
+    for i in range(reps):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64)))
+        value, n, _ = engine._replicate(m, fold, depth, budget, rng, boundary)
+        nodes.append(n)
+        truncated.append(value is None)
+        if value is not None:
+            values.append(value)
+    assert 0 < sum(truncated) < reps
+    assert np.array_equal(batch.values, values)
+    assert batch.node_counts.tolist() == nodes
+    assert batch.truncated.tolist() == truncated
+
+
 # determinism across worker counts
 
 
@@ -197,6 +251,23 @@ def test_csv_round_trip_exact_mode_and_iterate(model_b09, tmp_path):
     assert loaded.base_kind == "linear"
     assert loaded.r0 == det(4.0)
     assert np.array_equal(loaded.values, batch.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False,
+                          allow_infinity=False), min_size=1, max_size=20))
+def test_csv_round_trip_keeps_every_bit(values):
+    values = np.array(values, dtype=float)
+    batch = SampleBatch(
+        kind="linear", depth=3, values=values, seed=0,
+        stream_count=values.size, budget=1, total_nodes=values.size,
+        truncated_replications=0, level_mean=np.ones(1),
+        level_max=np.ones(1, dtype=np.int64), model_fingerprint="f")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.csv"
+        write_batch_csv(batch, path)
+        loaded = read_batch_csv(path)
+    assert loaded.values.tobytes() == values.tobytes()
 
 
 def test_summary_is_json_ready(model_b09):
