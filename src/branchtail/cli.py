@@ -35,7 +35,9 @@ from .engine import (
     _KINDS,
     DEFAULT_BUDGET,
     EngineError,
-    iterate_from,
+    _require_completed,
+    _validate_kind,
+    generation_frontier,
     read_batch_csv,
     run_batch,
     summary,
@@ -93,6 +95,16 @@ DEFAULTS = {
 _NULLABLE = {"depth": int, "output_dir": str, "tails.k": int,
              "tails.alpha": float}
 _PAIRS = ("solver.bracket", "tails.quantile_band", "verify.iterate_starts")
+# Ranges, judged once the types hold; every float must also be finite.
+_RANGES = (
+    ("seed", lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
+    ("solver.tol", lambda v: v > 0, "> 0"),
+    ("verify.renewal_reps", lambda v: v >= 2, ">= 2"),
+    ("verify.moment_reps", lambda v: v >= 2, ">= 2"),
+    ("verify.iterate_reps", lambda v: v >= 2, ">= 2"),
+    ("verify.moment_depths", lambda v: min(v, default=0) >= 0, ">= 0"),
+    ("verify.iterate_starts", lambda v: min(v) >= 0, ">= 0"),
+)
 
 
 class ConfigError(ValueError):
@@ -164,6 +176,12 @@ def load_config(path, sets=(), **flag_overrides):
     if config["depth"] in ("exact", "none"):
         config["depth"] = None
     _check_leaves(config)
+    for dotted, holds, wanted in _RANGES:
+        value = config
+        for key in dotted.split("."):
+            value = value[key]
+        if not holds(value):
+            raise ConfigError(f"{dotted} must be {wanted}, got {value!r}")
     if config["kind"] not in _KINDS:
         raise ConfigError(f"kind must be one of {', '.join(_KINDS)}, "
                           f"got {config['kind']!r}")
@@ -179,7 +197,7 @@ def _like(value, default):
 
 
 def _check_leaves(config, defaults=DEFAULTS, path=""):
-    """Reject a leaf of the wrong type or length before any work starts."""
+    """Reject a leaf of the wrong type or length, or a float not finite."""
     for key, default in defaults.items():
         dotted, value = path + key, config[key]
         if dotted == "model" or (value is None and dotted in _NULLABLE):
@@ -192,6 +210,10 @@ def _check_leaves(config, defaults=DEFAULTS, path=""):
         if dotted in _NULLABLE:
             default = _NULLABLE[dotted]()
         if _like(value, default) and (dotted not in _PAIRS or len(value) == 2):
+            items = value if isinstance(value, list) else [value]
+            if not all(math.isfinite(x) for x in items
+                       if isinstance(x, float)):
+                raise ConfigError(f"{dotted} must be finite, got {value!r}")
             continue
         wanted = type(default).__name__
         if isinstance(default, list):
@@ -375,26 +397,61 @@ def _verify_renewal(config, model, sol, rng):
     return checks
 
 
-def _verify_moment_grid(config, model, corrupt=False):
+def _martingale_forest(model, depths, reps, budget, rng):
+    """W_n = sum over generation n of Pi_v Q_v per tree, for each n in depths.
+
+    One forest of ``reps`` trees grown to the deepest n; a tree over the
+    budget by generation n is left out of W_n, as run_batch abandons it.
+    """
+    w = {}
+    forest = generation_frontier(model, max(depths, default=0), reps, budget,
+                                 rng)
+    for n, (pi, owner, alive) in enumerate(forest):
+        if n in depths:
+            _require_completed(~alive, budget)
+            marks = model.draw_mark(rng, pi.size)
+            w[n] = np.bincount(owner, pi * marks, minlength=reps)[alive]
+    return w
+
+
+def _iterate_forest(model, kind, n, starts, reps, budget, rng):
+    """n-step iterates from deterministic starts, all on one forest.
+
+    Each tree folds Pi_v Q_v over generations 0..n-1 by sum (linear) or
+    max (max), then takes ``s`` times the same fold of its generation-n
+    path products for each start ``s``, so the starts share every draw.
+    Trees over the budget by generation n are left out.
+    """
+    _validate_kind(model, kind)
+    fold = np.add if kind == "linear" else np.maximum
+    partial = np.zeros(reps)
+    forest = generation_frontier(model, n, reps, budget, rng)
+    for k, (pi, owner, alive) in enumerate(forest):
+        if k < n:
+            fold.at(partial, owner, pi * model.draw_q(rng, pi.size))
+    _require_completed(~alive, budget)
+    boundary = np.zeros(reps)
+    fold.at(boundary, owner, pi)
+    return [fold(partial, s * boundary)[alive] for s in starts]
+
+
+def _verify_moment_grid(config, model, rng, corrupt=False):
     """Generation-moment bound cells with their preconditions."""
     cells = []
     depths = sorted(set(config["verify"]["moment_depths"]))
     betas = config["verify"]["moment_betas"]
-    reps = config["verify"]["moment_reps"]
-    seed = config["seed"]
-    rng = np.random.default_rng(seed)
+    w = _martingale_forest(model, depths, config["verify"]["moment_reps"],
+                           config["budget"], rng)
+    bound_rng = np.random.default_rng(config["seed"])
     for n in depths:
-        # W_n = sum over generation n of Pi_v Q_v: the martingale kind's value
-        w_n = run_batch(model, "homogeneous-martingale", n, reps,
-                        budget=config["budget"], seed=seed).values
         for beta in betas:
             cell = {"check": "generation-moment-bound", "n": n, "beta": beta}
-            bound = generation_moment_bound(model, beta, n, rng=rng)
+            bound = generation_moment_bound(model, beta, n, rng=bound_rng)
             if bound.diverged:
                 cell.update(status="precondition-unmet", holds=None)
                 cells.append(cell)
                 continue
-            powered = w_n ** beta
+            powered = w[n] ** beta
             estimate = float(powered.mean())
             bound_value = bound.value
             if corrupt:
@@ -416,19 +473,14 @@ def _verify_moment_grid(config, model, corrupt=False):
     return cells
 
 
-def _verify_iteration(config, model):
+def _verify_iteration(config, model, rng):
     starts = config["verify"]["iterate_starts"]
     n = config["verify"]["iterate_depth"]
-    reps = config["verify"]["iterate_reps"]
     kind = config["kind"] if config["kind"] in ("linear", "max") else "linear"
-    batches = [
-        iterate_from(model, kind,
-                     {"family": "deterministic", "value": float(s)},
-                     n, reps, seed=config["seed"], budget=config["budget"])
-        for s in starts
-    ]
-    ks = float(sstats.ks_2samp(batches[0].values, batches[1].values,
-                               method="asymp").statistic)
+    first, second = _iterate_forest(model, kind, n, starts,
+                                    config["verify"]["iterate_reps"],
+                                    config["budget"], rng)
+    ks = float(sstats.ks_2samp(first, second, method="asymp").statistic)
     threshold = config["tails"]["ks_threshold"]
     return [{
         "check": "iteration-convergence",
@@ -444,6 +496,9 @@ def cmd_verify(config, corrupt_bound_self_test=False):
     model = make_model(config["model"])
     corrupt = corrupt_bound_self_test or (
         config["verify"]["corrupt_bound_self_test"])
+    # one generator per check: renewal keeps the seed's own stream
+    grid_rng, iterate_rng = map(np.random.default_rng,
+                                np.random.SeedSequence(config["seed"]).spawn(2))
     checks = []
     try:
         sol = _solve(config, model)
@@ -453,8 +508,9 @@ def cmd_verify(config, corrupt_bound_self_test=False):
         checks.append({"check": "measure-factorization",
                        "status": "precondition-unmet", "reason": str(err),
                        "holds": None})
-    checks.extend(_verify_moment_grid(config, model, corrupt=corrupt))
-    checks.extend(_verify_iteration(config, model))
+    checks.extend(_verify_moment_grid(config, model, grid_rng,
+                                      corrupt=corrupt))
+    checks.extend(_verify_iteration(config, model, iterate_rng))
     flags = [c.get("holds", c.get("agree")) for c in checks]
     verdicts = [f for f in flags if f is not None]
     all_ok = all(verdicts) if verdicts else False

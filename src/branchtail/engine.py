@@ -6,6 +6,12 @@ of the widest generation rather than the tree size.  The tree itself is
 never materialized (the max-plus kind keeps a per-generation transcript
 so the backward fold can run, still without node objects).
 
+``generation_frontier`` instead grows a whole forest from one shared
+generator and yields every generation, each path product with its
+tree, for checks that need generation-level quantities of many trees
+(the weighted generation measure, W_n for several n from one forest).
+It is outside the per-replication stream contract below.
+
 Reproducibility contract
 ------------------------
 Replication ``i`` of a batch owns the counter-based Philox stream keyed
@@ -49,10 +55,12 @@ class EngineError(ValueError):
 class SampleBatch:
     """Immutable result of a batch of replications.
 
-    ``values`` holds the completed replications in replication order,
-    finite and nonnegative; budget-hit replications are excluded from it
-    but counted.  Level statistics summarize generation sizes Z_k over
-    completed replications (absent generations count as size 0).
+    ``kind`` names one of the recursion kinds, or iterate-from over a
+    linear or max base kind.  ``values`` holds the completed replications
+    in replication order, finite and nonnegative; budget-hit
+    replications are excluded from it but counted.  Level statistics
+    summarize generation sizes Z_k over completed replications (absent
+    generations count as size 0).
     """
 
     kind: str
@@ -72,6 +80,10 @@ class SampleBatch:
     r0: Optional[dict] = None
 
     def __post_init__(self):
+        if self.kind not in _KINDS and not (
+                self.kind == "iterate-from"
+                and self.base_kind in _ITERATE_BASE_KINDS):
+            raise EngineError(f"unknown recursion kind: {self.kind!r}")
         if not (np.isfinite(self.values) & (self.values >= 0.0)).all():
             raise EngineError("batch values must be finite and nonnegative")
         if self.values.size != self.stream_count - self.truncated_replications:
@@ -178,29 +190,42 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
 
 
 def generation_frontier(model, depth, trees, budget, rng):
-    """Generation-``depth`` path weights of a forest, with their trees.
+    """Yield each generation 0..``depth`` of a forest of ``trees`` trees.
 
-    Grows ``trees`` independent trees one generation at a time from the
-    shared ``rng``: each generation draws the counts of every node in
-    the forest, then all child weights flat.  Returns ``(pi, owner)``,
-    the generation-``depth`` path products and the tree each belongs to,
-    or None when any tree grows more than ``budget`` nodes.  Memory is
-    linear in the forest's generation-``depth`` width (in its widest
-    generation, if the forest shrinks).
+    Yields ``(pi, owner, alive)``: the generation's path products, the
+    tree each belongs to (nondecreasing), and which trees are still
+    grown.  Advancing past a generation draws the counts of its whole
+    frontier from the shared ``rng``, then all child weights flat; a
+    caller may draw its own per-generation values in between.  A tree
+    whose node count through a generation exceeds ``budget`` is dropped
+    from then on, as ``run_batch`` abandons a replication.  Memory is
+    linear in the widest generation of the forest.
     """
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise EngineError("depth must be an integer >= 0")
     pi = np.ones(trees)
     owner = np.arange(trees)
     nodes = np.ones(trees, dtype=np.int64)
+    alive = np.ones(trees, dtype=bool)
+    yield pi, owner, alive
     for _ in range(depth):
         counts, weights = model.draw_offspring(rng, pi.size)
         owner = np.repeat(owner, counts)
-        nodes += np.bincount(owner, minlength=trees)
-        if nodes.max() > budget:
-            return None
         pi = np.repeat(pi, counts) * weights
-    return pi, owner
+        nodes += np.bincount(owner, minlength=trees)
+        dropped = alive & (nodes > budget)
+        if dropped.any():
+            alive = alive & ~dropped
+            keep = alive[owner]
+            pi, owner = pi[keep], owner[keep]
+        yield pi, owner, alive
+
+
+def _require_completed(truncated, budget):
+    """Raise unless some replication stayed within the node budget."""
+    if truncated.all():
+        raise EngineError(f"all {truncated.size} replications exceeded "
+                          f"the node budget {budget}")
 
 
 def _run_chunk(model, kind, depth, budget, seed, start, count,
@@ -287,11 +312,8 @@ def _batch_common(model, kind, depth, reps, budget, seed, workers,
             ]
             results = [f.result() for f in futures]
     values, node_counts, truncated, level_sums, level_maxes = _merge_chunks(results)
+    _require_completed(truncated, budget)
     n_truncated = int(truncated.sum())
-    if n_truncated == reps:
-        raise EngineError(
-            f"all {reps} replications exceeded the node budget {budget}"
-        )
     level_mean = level_sums / float(reps - n_truncated)
     return SampleBatch(
         kind=kind,

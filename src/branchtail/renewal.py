@@ -166,7 +166,9 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
     Tree side: Monte Carlo mean over ``reps`` independent trees of
     sum_i Pi_i^alpha g(log Pi_i) over each tree's generation-n path
     products Pi_i; the trees are grown as one forest drawn from the
-    shared ``rng`` (``engine.generation_frontier``).  Convolution side:
+    shared ``rng`` (``engine.generation_frontier``), whose generation n
+    is the tree side's input.  A tree over ``budget`` raises TiltError,
+    so every tree counts.  Convolution side:
     E[g(U_1 + ... + U_n)] with iid tilted increments, in closed form
     for the constant function (the n-th power of the total mass) and by
     Monte Carlo otherwise.
@@ -195,10 +197,9 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
     g_fn, g_name = _resolve_g(g, threshold)
     tilted = make_tilted(model, alpha)
 
-    forest = generation_frontier(model, n, reps, budget, rng)
-    if forest is None:
-        raise TiltError("node budget hit while folding the tree side")
-    pi, owner = forest
+    for pi, owner, alive in generation_frontier(model, n, reps, budget, rng):
+        if not alive.all():
+            raise TiltError("node budget hit while folding the tree side")
     powered = pi ** alpha
     masses = np.bincount(owner, powered, minlength=reps)
     contributions = np.bincount(owner, powered * g_fn(np.log(pi)),

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sstats
 
-from branchtail.cli import DEFAULTS, load_config, main, ConfigError
+from branchtail.cli import (DEFAULTS, ConfigError, _iterate_forest,
+                            _martingale_forest, load_config, main)
+from branchtail.engine import DEFAULT_BUDGET, iterate_from, run_batch
 
 from conftest import model_a_spec, model_b_spec, uniform_model_spec
 
@@ -233,16 +236,30 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "verify.iterate_starts=[1.0]", "verify"], None),
     (["--set", "verify={renewal_n: [1]}", "verify"], None),
     (["--kind", "foo", "solve-alpha"], None),
+    (["--set", "verify.moment_betas=[.nan]", "verify"], None),
+    (["--set", "truncation_beta=.nan", "simulate", "--force"], None),
+    (["--set", "tails.ks_threshold=.nan", "verify"], None),
+    (["--set", "solver.tol=.nan", "solve-alpha"], None),
+    (["--set", "solver.tol=.inf", "solve-alpha"], None),
+    (["--set", "solver.tol=0.0", "solve-alpha"], None),
+    (["--set", "verify.iterate_reps=1", "verify"], None),
+    (["--seed", "-1", "verify"], None),
+    (["--set", "verify.moment_depths=[-1, 2]", "verify"], None),
+    (["--set", "verify.iterate_starts=[-1.0, 100.0]", "verify"], None),
     # (row of batch.csv to overwrite, its new text): -2 is the last value
     (["analyze"], (-2, "abc")),
     (["analyze"], (3, "# seed=seven")),
     (["analyze"], (-2, "\udcff")),
     (["analyze"], (-2, "nan")),
     (["analyze"], (-2, "")),  # a blank row: one value row short
+    (["analyze"], (1, "# kind=foo")),
 ], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
         "float-list-word", "float-list-short", "set-section", "kind-word",
+        "float-list-nan", "float-nan", "threshold-nan", "tol-nan", "tol-inf",
+        "tol-zero", "verify-reps-one", "seed-negative",
+        "moment-depth-negative", "iterate-start-negative",
         "value-row", "metadata-row", "not-utf8", "value-nan",
-        "value-dropped"])
+        "value-dropped", "kind-row"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
                                                corrupt):
     path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,
@@ -325,6 +342,68 @@ def test_set_fuzz_never_escapes_main(fuzz_config, leaf, raw):
     assert len(err.getvalue().strip().splitlines()) <= 1
 
 
+@pytest.fixture(scope="module")
+def corrupt_target(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("corrupt")
+    path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,
+                        seed=7, output_dir=str(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", path, "simulate"]) == 0
+    return path, tmp_path / "batch.csv"
+
+
+# printable text on one line: no control characters, no surrogates
+_ONE_LINE = st.text(st.characters(blacklist_categories=("Cc", "Cs")),
+                    max_size=12)
+
+
+def _reads_as_value(text):
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value >= 0.0
+
+
+def _corrupt(text, data):
+    """One corruption of a batch CSV that no reader may accept."""
+    rows = text.split("\n")[:-1]  # the file ends with a newline
+    column = rows.index("value")
+    how = data.draw(st.sampled_from(
+        ["truncate", "delete", "duplicate", "rename-field", "flip-value"]))
+    if how == "truncate":  # cut at or before the start of the last row
+        return text[:data.draw(st.integers(0, len(text) - len(rows[-1]) - 1))]
+    if how == "delete":  # every line is required
+        del rows[data.draw(st.integers(0, len(rows) - 1))]
+    elif how == "duplicate":  # the column header or a value row
+        i = data.draw(st.integers(column, len(rows) - 1))
+        rows.insert(i, rows[i])
+    elif how == "rename-field":  # a required field goes missing
+        i = data.draw(st.integers(1, column - 1))
+        key, _, field = rows[i][2:].partition("=")
+        name = data.draw(_ONE_LINE.filter(lambda k: k != key))
+        rows[i] = f"# {name}={field}"
+    else:
+        i = data.draw(st.integers(column + 1, len(rows) - 1))
+        rows[i] = data.draw(_ONE_LINE.filter(lambda t: not _reads_as_value(t)))
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_batch_csv_exits_one(corrupt_target, data):
+    config, batch = corrupt_target
+    corrupt = batch.with_name("corrupt.csv")
+    corrupt.write_text(_corrupt(batch.read_text(), data), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--config", config, "analyze", "--batch", str(corrupt)])
+    assert code == 1
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) == 1
+
+
 # verify
 
 
@@ -374,3 +453,42 @@ def test_verify_under_a_tight_budget(tmp_path, capsys):
     cells = [c for c in payload["checks"]
              if c["check"] == "generation-moment-bound"]
     assert {c["n"] for c in cells} == {0, 2}
+
+
+@pytest.mark.parametrize("depths, reps", [([0, 2], 300), ([0], 200)],
+                         ids=["moment-grid", "iteration"])
+def test_verify_exits_one_when_every_tree_outgrows_the_budget(
+        tmp_path, capsys, depths, reps):
+    # model_a trees always have a child, so a one-node budget keeps only
+    # generation 0: the grid at depth 2, or else the iteration, loses all
+    path = write_config(
+        tmp_path, model_a_spec(), budget=1,
+        verify={"renewal_n": [1], "renewal_reps": 100,
+                "moment_depths": depths, "moment_reps": 300,
+                "iterate_depth": 4, "iterate_reps": 200},
+        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "verify"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: all {reps} replications exceeded the node budget 1\n"
+
+
+def test_forest_w_n_has_the_martingale_law(model_a):
+    reps = 4000
+    w = _martingale_forest(model_a, [4], reps, DEFAULT_BUDGET,
+                           np.random.default_rng(101))[4]
+    batch = run_batch(model_a, "homogeneous-martingale", 4, reps, seed=102)
+    assert w.size == reps
+    assert sstats.ks_2samp(w, batch.values).pvalue > 1e-6
+
+
+@pytest.mark.parametrize("kind", ["linear", "max"])
+def test_forest_iterates_have_the_iterate_from_law(model_b09, kind):
+    reps, n, starts = 4000, 10, (0.0, 100.0)
+    forest = _iterate_forest(model_b09, kind, n, starts, reps,
+                             DEFAULT_BUDGET, np.random.default_rng(103))
+    for start, values in zip(starts, forest):
+        batch = iterate_from(model_b09, kind,
+                             {"family": "deterministic", "value": start},
+                             n, reps, seed=104)
+        assert values.size == reps
+        assert sstats.ks_2samp(values, batch.values).pvalue > 1e-6

@@ -135,11 +135,42 @@ def test_budget_all_truncated_is_an_error(model_a):
 def test_generation_frontier_grows_a_forest_with_owners():
     binary = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
     rng = np.random.default_rng(0)
-    pi, owner = generation_frontier(binary, 2, 3, 7, rng)
+    generations = list(generation_frontier(binary, 2, 3, 7, rng))
+    assert [pi.size for pi, _, _ in generations] == [3, 6, 12]
+    pi, owner, alive = generations[-1]
     assert np.array_equal(pi, np.full(12, 0.25))
     assert owner.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
-    # each tree has 1 + 2 + 4 = 7 nodes
-    assert generation_frontier(binary, 2, 3, 6, rng) is None
+    assert alive.all()
+    # each tree has 1 + 2 + 4 = 7 nodes, so budget 6 drops all three
+    *_, (pi, owner, alive) = generation_frontier(binary, 2, 3, 6, rng)
+    assert pi.size == 0 and owner.size == 0 and not alive.any()
+
+
+def test_generation_frontier_drops_only_the_trees_over_budget():
+    # one or three children: a tree has 2 or 4 nodes through generation 1
+    m = make_model({"n": {"family": "two-point", "values": {1: 0.5, 3: 0.5}},
+                    "c": det(0.5), "q": det(1.0)})
+    trees, budget = 400, 3
+    free = list(generation_frontier(m, 2, trees, 10 ** 6,
+                                    np.random.default_rng(5)))
+    tight = list(generation_frontier(m, 2, trees, budget,
+                                     np.random.default_rng(5)))
+    # generation 1 is drawn before any drop, so both forests share it
+    children = np.bincount(free[1][1], minlength=trees)
+    alive1 = tight[1][2]
+    assert np.array_equal(alive1, 1 + children <= budget)
+    assert 0 < alive1.sum() < trees
+    kept = alive1[free[1][1]]
+    assert np.array_equal(tight[1][0], free[1][0][kept])
+    assert np.array_equal(tight[1][1], free[1][1][kept])
+    # generation 2: a dropped tree stays dropped, a kept one is within budget
+    pi, owner, alive2 = tight[2]
+    assert not (alive2 & ~alive1).any()
+    assert 0 < alive2.sum() < alive1.sum()
+    assert np.array_equal(np.unique(owner), np.flatnonzero(alive2))
+    grandchildren = np.bincount(owner, minlength=trees)
+    assert (2 + grandchildren[alive2] <= budget).all()
+    assert np.array_equal(pi, np.full(owner.size, 0.25))
 
 
 # validation
