@@ -27,7 +27,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 import yaml
-from scipy import stats as sstats
 
 from .constants import ConstantError, tail_constant_report
 from .cramer import SolverError, check_conditions, solve_alpha
@@ -46,8 +45,8 @@ from .engine import (
 )
 from .model import ModelError, make_model
 from .moments import generation_moment_bound, jackknife_mean_se, make_report
-from .renewal import TiltError, verify_product_measure
-from .tails import TailError, tail_report
+from .renewal import _MAX_CONVOLUTION, TiltError, verify_product_measure
+from .tails import TailError, ks_distance, tail_report
 
 SCHEMA = "branchtail-report-v1"
 OUTPUT_DIR_ENV = "BRANCHTAIL_OUTPUT_DIR"
@@ -102,6 +101,8 @@ _RANGES = (
     ("verify.renewal_reps", lambda v: v >= 2, ">= 2"),
     ("verify.moment_reps", lambda v: v >= 2, ">= 2"),
     ("verify.iterate_reps", lambda v: v >= 2, ">= 2"),
+    ("verify.renewal_n", lambda v: all(1 <= n <= _MAX_CONVOLUTION for n in v),
+     f"in 1..{_MAX_CONVOLUTION}"),
     ("verify.moment_depths", lambda v: min(v, default=0) >= 0, ">= 0"),
     ("verify.iterate_starts", lambda v: min(v) >= 0, ">= 0"),
 )
@@ -385,15 +386,24 @@ def cmd_analyze(config, batch_path):
     return 0
 
 
-def _verify_renewal(config, model, sol, rng):
-    checks = []
-    for n in config["verify"]["renewal_n"]:
-        for g in ("constant-1", "identity-u", "indicator"):
-            report = verify_product_measure(
-                model, sol.alpha, n, g, config["verify"]["renewal_reps"], rng,
-                threshold=config["verify"]["indicator_threshold"],
-                budget=config["budget"])
-            checks.append(dict(report.to_dict(), check="measure-factorization"))
+def _verify_renewal(config, model, rng):
+    """Factorization checks per n, kept up to the first n that fails."""
+    checks, n = [], None
+    try:
+        sol = _solve(config, model)
+        for n in config["verify"]["renewal_n"]:
+            for g in ("constant-1", "identity-u", "indicator"):
+                report = verify_product_measure(
+                    model, sol.alpha, n, g, config["verify"]["renewal_reps"],
+                    rng, threshold=config["verify"]["indicator_threshold"],
+                    budget=config["budget"])
+                checks.append(dict(report.to_dict(),
+                                   check="measure-factorization"))
+    except (SolverError, TiltError) as err:
+        checks.append({"check": "measure-factorization",
+                       "status": "precondition-unmet",
+                       "reason": str(err) if n is None else f"n={n}: {err}",
+                       "holds": None})
     return checks
 
 
@@ -480,7 +490,7 @@ def _verify_iteration(config, model, rng):
     first, second = _iterate_forest(model, kind, n, starts,
                                     config["verify"]["iterate_reps"],
                                     config["budget"], rng)
-    ks = float(sstats.ks_2samp(first, second, method="asymp").statistic)
+    ks = ks_distance(first, second)
     threshold = config["tails"]["ks_threshold"]
     return [{
         "check": "iteration-convergence",
@@ -499,15 +509,8 @@ def cmd_verify(config, corrupt_bound_self_test=False):
     # one generator per check: renewal keeps the seed's own stream
     grid_rng, iterate_rng = map(np.random.default_rng,
                                 np.random.SeedSequence(config["seed"]).spawn(2))
-    checks = []
-    try:
-        sol = _solve(config, model)
-        rng = np.random.default_rng(config["seed"])
-        checks.extend(_verify_renewal(config, model, sol, rng))
-    except (SolverError, TiltError) as err:
-        checks.append({"check": "measure-factorization",
-                       "status": "precondition-unmet", "reason": str(err),
-                       "holds": None})
+    checks = _verify_renewal(config, model,
+                             np.random.default_rng(config["seed"]))
     checks.extend(_verify_moment_grid(config, model, grid_rng,
                                       corrupt=corrupt))
     checks.extend(_verify_iteration(config, model, iterate_rng))

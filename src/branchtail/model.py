@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, digamma
 
 __all__ = [
     "ModelError",
@@ -298,12 +297,16 @@ class BetaScaledValue:
         return self.scale * rng.beta(self.a, self.b, size)
 
     def moment(self, theta):
+        from scipy.special import betaln  # scipy loads only for this family
+
         return self.scale ** theta * math.exp(
             betaln(self.a + theta, self.b) - betaln(self.a, self.b)
         )
 
     def log_weighted_moment(self, theta):
         # d/dtheta of moment: m(theta) * (log scale + psi(a+theta) - psi(a+b+theta))
+        from scipy.special import digamma
+
         return self.moment(theta) * (
             math.log(self.scale)
             + digamma(self.a + theta)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sstats
 
 DEFAULT_QUANTILE_BAND = (0.99, 0.9995)
 DEFAULT_BOOTSTRAP = 200
@@ -270,6 +269,21 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
                            float(grid[0]), float(grid[-1]), int(grid.size))
 
 
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance sup_t |F_a(t) - F_b(t)|.
+
+    Both samples must be nonempty.  The empirical CDFs are read at every
+    pooled point, as ``scipy.stats.ks_2samp`` reads them, so the two
+    statistics agree bit for bit.
+    """
+    a = np.sort(a)
+    b = np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = (np.searchsorted(a, grid, side="right") / a.size
+           - np.searchsorted(b, grid, side="right") / b.size)
+    return float(np.abs(gap).max())
+
+
 def stability_diagnostic(batch_low, batch_high, threshold=DEFAULT_KS_THRESHOLD):
     """Two-sample KS distance between depth-n and deeper batches.
 
@@ -289,8 +303,7 @@ def stability_diagnostic(batch_low, batch_high, threshold=DEFAULT_KS_THRESHOLD):
     d_high = getattr(batch_high, "depth", None)
     if d_low is not None and d_high is not None and not d_low < d_high:
         raise TailError("first batch must be the shallower one")
-    ks = float(sstats.ks_2samp(_values_of(batch_low), _values_of(batch_high),
-                               method="asymp").statistic)
+    ks = ks_distance(_values_of(batch_low), _values_of(batch_high))
     return StabilityCheck(ks, threshold, ks <= threshold)
 
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +249,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--seed", "-1", "verify"], None),
     (["--set", "verify.moment_depths=[-1, 2]", "verify"], None),
     (["--set", "verify.iterate_starts=[-1.0, 100.0]", "verify"], None),
+    (["--set", "verify.renewal_n=[0]", "verify"], None),
+    (["--set", "verify.renewal_n=[1, 2, 5]", "verify"], None),
     # (row of batch.csv to overwrite, its new text): -2 is the last value
     (["analyze"], (-2, "abc")),
     (["analyze"], (3, "# seed=seven")),
@@ -258,6 +263,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "float-list-nan", "float-nan", "threshold-nan", "tol-nan", "tol-inf",
         "tol-zero", "verify-reps-one", "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
+        "renewal-n-zero", "renewal-n-five",
         "value-row", "metadata-row", "not-utf8", "value-nan",
         "value-dropped", "kind-row"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
@@ -455,6 +461,22 @@ def test_verify_under_a_tight_budget(tmp_path, capsys):
     assert {c["n"] for c in cells} == {0, 2}
 
 
+def test_verify_keeps_the_renewal_checks_that_completed(tmp_path):
+    # model_b trees have at most one child, so n = 1 fits in two nodes
+    # and the depth-2 forest hits the budget
+    path = quick_verify_config(tmp_path, budget=2)
+    assert main(["--config", path, "verify"]) in (0, 3)
+    payload = read_json(tmp_path / "out" / "verification.json")
+    renewal = [c for c in payload["checks"]
+               if c["check"] == "measure-factorization"]
+    assert [c.get("n") for c in renewal] == [1, 1, 1, None]
+    assert all("agree" in c for c in renewal[:3])
+    unmet = renewal[-1]
+    assert set(unmet) == {"check", "status", "reason", "holds"}
+    assert unmet["status"] == "precondition-unmet"
+    assert unmet["reason"].startswith("n=2: ")
+
+
 @pytest.mark.parametrize("depths, reps", [([0, 2], 300), ([0], 200)],
                          ids=["moment-grid", "iteration"])
 def test_verify_exits_one_when_every_tree_outgrows_the_budget(
@@ -492,3 +514,15 @@ def test_forest_iterates_have_the_iterate_from_law(model_b09, kind):
                              n, reps, seed=104)
         assert values.size == reps
         assert sstats.ks_2samp(values, batch.values).pvalue > 1e-6
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, branchtail, branchtail.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

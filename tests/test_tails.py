@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sstats
 
 from branchtail.engine import run_batch
 from branchtail.tails import (
@@ -12,6 +13,7 @@ from branchtail.tails import (
     default_tail_count,
     hill_estimator,
     hill_sweep,
+    ks_distance,
     plateau_constant,
     stability_diagnostic,
     survival_points,
@@ -180,6 +182,23 @@ def test_stability_flags_unconverged_depth(model_b09):
     deep = run_batch(model_b09, "linear", 30, 20_000, seed=4)
     check = stability_diagnostic(shallow, deep)
     assert not check.passed
+
+
+def ks_samples():
+    ties = st.lists(st.integers(0, 4).map(float), min_size=1, max_size=60)
+    floats = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60)
+    draws = st.tuples(st.integers(1, 500), st.integers(0, 2 ** 32 - 1)).map(
+        lambda t: np.random.default_rng(t[1]).lognormal(size=t[0]))
+    return ties | floats | draws
+
+
+@given(ks_samples(), ks_samples())
+@settings(max_examples=300, deadline=None)
+# scipy's asymptotic p-value divides by zero for a sample of size 1
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_ks_distance_is_the_scipy_statistic(a, b):
+    expected = sstats.ks_2samp(a, b, method="asymp").statistic
+    assert ks_distance(a, b) == expected
 
 
 def test_stability_validates_batch_compatibility(model_b09, model_b03):
