@@ -330,7 +330,8 @@ def cmd_simulate(config, force=False):
     print(batch_path)
     info = summary(batch)
     bound = None
-    if config["depth"] is not None and config["kind"] in ("linear", "max"):
+    if (config["depth"] is not None
+            and config["kind"] != "homogeneous-martingale"):
         bound = truncation_bound(
             model, config["truncation_beta"], config["depth"],
             rng=np.random.default_rng(config["seed"]))

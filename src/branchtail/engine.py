@@ -1,10 +1,9 @@
 """Depth-recursive sampling of weighted branching recursions.
 
 Each replication grows the tree one generation at a time, holding only
-the current generation's path weights, so memory is linear in the width
-of the widest generation rather than the tree size.  The tree itself is
-never materialized (the max-plus kind keeps a per-generation transcript
-so the backward fold can run, still without node objects).
+the current generation's path weights (and, for max-plus, path sums), so
+memory is linear in the width of the widest generation rather than the
+tree size, for every kind.  The tree itself is never materialized.
 
 ``generation_frontier`` instead grows a whole forest from one shared
 generator and yields every generation, each path product with its
@@ -37,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import make_value_law, moment_function, reduce_to_parents
+from .model import make_value_law, moment_function
 from .moments import constructive_constant, contractive
 
 DEFAULT_BUDGET = 10 ** 7
@@ -132,26 +131,16 @@ def _draw_tolls(model, kind, last, boundary, rng, size):
     return model.draw_q(rng, size)
 
 
-def _fold_maxplus(transcript):
-    """Backward fold of (max over children of C R) + Q over the generations."""
-    value = np.zeros(0)
-    for tolls, counts, weights in reversed(transcript):
-        peaks = (np.zeros(tolls.size) if counts is None
-                 else reduce_to_parents(np.maximum, counts, weights * value))
-        value = peaks + tolls
-    return float(value[0])
-
-
 def _replicate(model, kind, depth, budget, rng, boundary=None):
     """One replication, grown generation by generation; returns (value, nodes, z).
 
     This is the one place that encodes the stream order: generation k
     draws its tolls, then its counts, then its child weights.  The tolls
-    fold by sum (linear, martingale), by max (max), or into a transcript
-    that the max-plus kind folds backward once the tree is grown; only
-    max-plus keeps per-generation arrays.  The martingale kind draws
-    marks at generation ``depth`` only; a ``boundary`` law replaces Q at
-    generation ``depth`` (iterate-from).
+    fold by sum (linear, martingale) or by max (max); max-plus carries
+    each node's path sum S_v = sum of Pi_u Q_u over u on root..v and
+    takes their max, which is R because the weights are nonnegative.
+    The martingale kind draws marks at generation ``depth`` only; a
+    ``boundary`` law replaces Q at generation ``depth`` (iterate-from).
 
     A None value means the node budget was hit and the replication
     abandoned; ``z`` lists the generation sizes grown so far.
@@ -161,14 +150,15 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
     z = [1]
     level = 0
     acc = 0.0
-    transcript = []
+    path = 0.0  # the root's path sum before its toll
     while True:
         last = level == depth
         tolls = _draw_tolls(model, kind, last, boundary, rng, pi.size)
         if kind == "max":
             acc = max(acc, float((tolls * pi).max()))
         elif kind == "max-plus":
-            transcript.append((tolls, None, None))
+            path = path + tolls * pi
+            acc = max(acc, float(path.max()))
         elif tolls is not None:
             acc += float(tolls @ pi)
         if last:
@@ -180,12 +170,10 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
         if weights.size == 0:
             break  # the tree died
         if kind == "max-plus":
-            transcript[-1] = (tolls, counts, weights)
+            path = np.repeat(path, counts)
         pi = np.repeat(pi, counts) * weights
         z.append(weights.size)
         level += 1
-    if kind == "max-plus":
-        return _fold_maxplus(transcript), nodes, z
     return acc, nodes, z
 
 
@@ -384,6 +372,10 @@ def iterate_from(model, kind, r0, n, reps, seed, budget=DEFAULT_BUDGET,
 
 def truncation_bound(model, beta, depth, rng=None):
     """Certified bound on the beta-moment of the depth-truncation error.
+
+    It bounds the linear remainder sum over |v| > depth of Pi_v Q_v.  The
+    max and max-plus values gain at most that remainder when the tree is
+    grown past ``depth``, so the bound holds for them too.
 
     For beta <= 1 the bound is E[Q^beta] rho_beta^(depth+1) / (1 - rho_beta),
     valid whenever rho_beta < 1.  For beta > 1 it is

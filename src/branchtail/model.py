@@ -16,8 +16,10 @@ runs that only differ in depth.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,22 @@ __all__ = [
 
 class ModelError(ValueError):
     """Invalid family name, invalid parameter, or unusable model."""
+
+
+def _pow(base, theta):
+    """base ** theta, saturating at inf where the double overflows."""
+    try:
+        return base ** theta
+    except OverflowError:
+        return math.inf
+
+
+def _exp(x):
+    """math.exp, saturating at inf where the double overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +101,16 @@ class TwoPointCount:
     family = "two-point"
 
     def __init__(self, values):
-        if len(values) != 2:
+        if not isinstance(values, dict) or len(values) != 2:
             raise ModelError("two-point count needs exactly two support points")
-        pts = sorted((int(k), float(p)) for k, p in values.items())
-        (self.a, self.pa), (self.b, self.pb) = pts
-        if self.a < 0 or any(k != int(k) for k in (self.a, self.b)):
+        if not all(_finite_number(p) for p in values.values()):
+            raise ModelError("two-point probabilities must be finite numbers")
+        # float() also reads the string keys that params() writes
+        pts = sorted((float(k), float(p)) for k, p in values.items())
+        if not all(k.is_integer() and k >= 0 for k, _ in pts):
             raise ModelError("two-point support must be nonnegative integers")
+        (a, self.pa), (b, self.pb) = pts
+        self.a, self.b = int(a), int(b)
         if not (0.0 <= self.pa <= 1.0 and 0.0 <= self.pb <= 1.0):
             raise ModelError("two-point probabilities must lie in [0, 1]")
         if abs(self.pa + self.pb - 1.0) > 1e-12:
@@ -153,10 +175,10 @@ class GeometricCount:
 class PoissonCount:
     family = "poisson"
 
-    def __init__(self, lam):
-        if lam <= 0:
+    def __init__(self, mean):
+        if mean <= 0:
             raise ModelError("poisson mean must be positive")
-        self.lam = float(lam)
+        self.lam = float(mean)
 
     def sample(self, rng, size):
         return rng.poisson(self.lam, size)
@@ -200,13 +222,13 @@ class DeterministicValue:
         # 0^0 = 1 convention so theta = 0 returns total mass
         if self.value == 0.0:
             return 1.0 if theta == 0 else 0.0
-        return self.value ** theta
+        return _pow(self.value, theta)
 
     def log_weighted_moment(self, theta):
         # E[X^theta log X]
         if self.value == 0.0:
             return 0.0
-        return self.value ** theta * math.log(self.value)
+        return _pow(self.value, theta) * math.log(self.value)
 
     def mean(self):
         return self.value
@@ -235,7 +257,7 @@ class LognormalValue:
         return rng.lognormal(self.mu, self.sigma, size)
 
     def moment(self, theta):
-        return math.exp(theta * self.mu + theta * theta * self.sigma2 / 2.0)
+        return _exp(theta * self.mu + theta * theta * self.sigma2 / 2.0)
 
     def log_weighted_moment(self, theta):
         return (self.mu + theta * self.sigma2) * self.moment(theta)
@@ -265,10 +287,10 @@ class UniformValue:
         return rng.uniform(0.0, self.b, size)
 
     def moment(self, theta):
-        return self.b ** theta / (theta + 1.0)
+        return _pow(self.b, theta) / (theta + 1.0)
 
     def log_weighted_moment(self, theta):
-        return self.b ** theta * (math.log(self.b) - 1.0 / (theta + 1.0)) / (theta + 1.0)
+        return _pow(self.b, theta) * (math.log(self.b) - 1.0 / (theta + 1.0)) / (theta + 1.0)
 
     def mean(self):
         return self.b / 2.0
@@ -299,7 +321,7 @@ class BetaScaledValue:
     def moment(self, theta):
         from scipy.special import betaln  # scipy loads only for this family
 
-        return self.scale ** theta * math.exp(
+        return _pow(self.scale, theta) * _exp(
             betaln(self.a + theta, self.b) - betaln(self.a, self.b)
         )
 
@@ -323,39 +345,45 @@ class BetaScaledValue:
         return {"family": self.family, "a": self.a, "b": self.b, "scale": self.scale}
 
 
-_COUNT_FAMILIES = {
-    "deterministic": lambda s: DeterministicCount(s["value"]),
-    "two-point": lambda s: TwoPointCount(s["values"]),
-    "geometric": lambda s: GeometricCount(s["p"]),
-    "poisson": lambda s: PoissonCount(s["mean"]),
-}
+# a family's constructor arguments are the parameters its section takes
+_COUNT_FAMILIES = {law.family: law for law in (
+    DeterministicCount, TwoPointCount, GeometricCount, PoissonCount)}
 
-_VALUE_FAMILIES = {
-    "deterministic": lambda s: DeterministicValue(s["value"]),
-    "lognormal": lambda s: LognormalValue(s["mu"], s["sigma2"]),
-    "uniform": lambda s: UniformValue(s["b"]),
-    "beta-scaled": lambda s: BetaScaledValue(s["a"], s["b"], s.get("scale", 1.0)),
-}
+_VALUE_FAMILIES = {law.family: law for law in (
+    DeterministicValue, LognormalValue, UniformValue, BetaScaledValue)}
 
 _NONHOMOGENEOUS_KINDS = ("linear", "max", "max-plus")
+
+
+def _finite_number(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _build_law(section, families, what):
     if not isinstance(section, dict) or "family" not in section:
         raise ModelError(f"{what} law needs a 'family' entry")
     name = section["family"]
-    if name not in families:
+    if not isinstance(name, str) or name not in families:
         raise ModelError(f"unknown {what} family: {name!r}")
-    spec = dict(section)
-    spec.pop("family")
+    spec = {key: value for key, value in section.items() if key != "family"}
+    params = inspect.signature(families[name]).parameters
+    for key in spec:
+        if key not in params:
+            raise ModelError(f"{what} family {name!r} takes no parameter {key!r}")
+    for key, param in params.items():
+        if key not in spec:
+            if param.default is param.empty:
+                raise ModelError(f"{what} family {name!r} missing parameter {key!r}")
+        elif key != "values" and not _finite_number(spec[key]):
+            raise ModelError(f"{what} family {name!r} parameter {key!r} must be "
+                             f"a finite number, got {spec[key]!r}")
     try:
-        return families[name]({"family": name, **spec})
-    except KeyError as exc:
-        raise ModelError(f"{what} family {name!r} missing parameter {exc}") from None
+        return families[name](**spec)
     except ModelError:
         raise
     except (TypeError, ValueError) as exc:
-        # unconvertible parameter values surface as config errors, not tracebacks
+        # a two-point support point that is not a number
         raise ModelError(f"{what} family {name!r}: {exc}") from None
 
 
@@ -433,12 +461,12 @@ class VectorModel:
 
     def c_moment(self, theta):
         """E[(c_scale * C)^theta]."""
-        return self.c_scale ** theta * self.c_law.moment(theta)
+        return _pow(self.c_scale, theta) * self.c_law.moment(theta)
 
     def c_log_weighted_moment(self, theta):
         """E[(c_scale * C)^theta * log(c_scale * C)]."""
         s = self.c_scale
-        return s ** theta * (
+        return _pow(s, theta) * (
             math.log(s) * self.c_law.moment(theta) + self.c_law.log_weighted_moment(theta)
         )
 
@@ -516,12 +544,15 @@ def make_model(spec, recursion_kind=None):
     for key in ("n", "c", "q"):
         if key not in spec:
             raise ModelError(f"model section missing {key!r} law")
+    c_scale = spec.get("c_scale", 1.0)
+    if not _finite_number(c_scale):
+        raise ModelError(f"c_scale must be a finite number, got {c_scale!r}")
     model = VectorModel(
         n_law=_build_law(spec["n"], _COUNT_FAMILIES, "count"),
         c_law=_build_law(spec["c"], _VALUE_FAMILIES, "weight"),
         q_law=_build_law(spec["q"], _VALUE_FAMILIES, "toll"),
         coupling=spec.get("coupling", "iid-independent"),
-        c_scale=float(spec.get("c_scale", 1.0)),
+        c_scale=float(c_scale),
     )
     if recursion_kind in _NONHOMOGENEOUS_KINDS and model.q_law.prob_positive() == 0.0:
         raise ModelError(

@@ -14,7 +14,9 @@ from scipy import stats as sstats
 
 from branchtail.cli import (DEFAULTS, ConfigError, _iterate_forest,
                             _martingale_forest, load_config, main)
-from branchtail.engine import DEFAULT_BUDGET, iterate_from, run_batch
+from branchtail.engine import (DEFAULT_BUDGET, iterate_from, run_batch,
+                               truncation_bound)
+from branchtail.model import make_model
 
 from conftest import model_a_spec, model_b_spec, uniform_model_spec
 
@@ -144,6 +146,29 @@ def test_simulate_deterministic_artifacts(tmp_path):
     assert summary["replications"] == 1000
 
 
+def test_simulate_reports_a_maxplus_truncation_bound(tmp_path):
+    # N in {0, 2}, E N = 0.8, rho_1 = 0.8 * 0.75 = 0.6: contractive, and
+    # exact trees die out
+    spec = {"n": {"family": "two-point", "values": {0: 0.6, 2: 0.4}},
+            "c": {"family": "uniform", "b": 1.5},
+            "q": {"family": "deterministic", "value": 1.0}}
+    reps, depth, seed = 20_000, 3, 17
+    path = write_config(tmp_path, spec, kind="max-plus", depth=depth,
+                        reps=reps, seed=seed, truncation_beta=1.0,
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "simulate", "--force"]) == 0
+    summary = read_json(tmp_path / "out" / "summary.json")
+    bound = summary["truncation_bound"]
+    model = make_model(spec)
+    assert bound == truncation_bound(model, 1.0, depth)
+    stopped = run_batch(model, "max-plus", depth, reps, seed=seed)
+    exact = run_batch(model, "max-plus", None, reps, seed=seed)
+    gap = exact.values - stopped.values
+    assert (gap >= 0.0).all()  # the exact tree extends the stopped one
+    se = gap.std(ddof=1) / math.sqrt(reps)
+    assert gap.mean() <= bound + 3 * se
+
+
 def test_simulate_generation_growth_summary(tmp_path):
     # supercritical branching: mean generation size grows like 1.3^n
     path = write_config(tmp_path, model_a_spec(),
@@ -251,6 +276,23 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "verify.iterate_starts=[-1.0, 100.0]", "verify"], None),
     (["--set", "verify.renewal_n=[0]", "verify"], None),
     (["--set", "verify.renewal_n=[1, 2, 5]", "verify"], None),
+    (["--set", "model.c_scale=abc", "simulate", "--force"], None),
+    (["--set", "model.n={family: poisson, mean: .inf}", "simulate",
+      "--force"], None),
+    (["--set", "model.c={family: uniform, b: .inf}", "simulate", "--force"],
+     None),
+    # a NaN parameter used to reach sampling and every check of verify
+    (["--set", "model.c.sigma2=.nan", "verify"], None),
+    (["--set", "model.c.mu=.nan", "verify"], None),
+    (["--set", "model.c_scale=.nan", "verify"], None),
+    (["--set", "model.c={family: lognormal, mu: 0, sigma2: 1, sigma: 9}",
+      "simulate", "--force"], None),
+    (["--set", "model.n.values=[1, 2]", "simulate", "--force"], None),
+    (["--set", "model.n.values={0.5: 0.5, 1: 0.5}", "simulate", "--force"],
+     None),
+    # moments beyond the largest double read as infinite
+    (["--set", "model.c.mu=7684", "solve-alpha"], None),
+    (["--set", "model.c_scale=1.0e+300", "solve-alpha"], None),
     # (row of batch.csv to overwrite, its new text): -2 is the last value
     (["analyze"], (-2, "abc")),
     (["analyze"], (3, "# seed=seven")),
@@ -263,7 +305,11 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "float-list-nan", "float-nan", "threshold-nan", "tol-nan", "tol-inf",
         "tol-zero", "verify-reps-one", "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
-        "renewal-n-zero", "renewal-n-five",
+        "renewal-n-zero", "renewal-n-five", "model-scale-word",
+        "model-mean-inf", "model-bound-inf", "model-sigma2-nan",
+        "model-mu-nan", "model-scale-nan", "model-unknown-param",
+        "model-support-list", "model-support-fraction",
+        "model-moment-overflow", "model-scale-overflow",
         "value-row", "metadata-row", "not-utf8", "value-nan",
         "value-dropped", "kind-row"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
@@ -318,7 +364,7 @@ def _leaves(tree, path=""):
         if isinstance(value, dict):
             yield from _leaves(value, f"{path}{key}.")
         elif key not in ("model", "output_dir"):
-            yield path + key
+            yield f"{path}{key}"
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -334,8 +380,11 @@ def fuzz_config(tmp_path_factory):
                         output_dir=str(tmp_path / "out"))
 
 
+_MODEL_LEAVES = sorted(f"model.{leaf}" for leaf in _leaves(model_b_spec(0.9)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(leaf=st.sampled_from(sorted(_leaves(DEFAULTS))),
+@given(leaf=st.sampled_from(sorted(_leaves(DEFAULTS)) + _MODEL_LEAVES),
        raw=st.one_of(st.text(max_size=16), _YAML_VALUES))
 def test_set_fuzz_never_escapes_main(fuzz_config, leaf, raw):
     err = io.StringIO()

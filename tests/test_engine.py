@@ -243,6 +243,76 @@ def test_batch_replays_fresh_generator_per_replication(kind):
     assert batch.truncated.tolist() == truncated
 
 
+def _backward_maxplus(model, depth, budget, rng):
+    """Max-plus by the backward fold: keep every generation, then fold
+    R = max_i C_i R_i + Q from the deepest generation up to the root."""
+    generations, nodes, size, level = [], 1, 1, 0
+    while True:
+        tolls = model.draw_q(rng, size)
+        if level == depth:
+            generations.append((tolls, np.zeros(size, dtype=np.int64),
+                                np.zeros(0)))
+            break
+        counts, weights = model.draw_offspring(rng, size)
+        nodes += weights.size
+        if nodes > budget:
+            return None, nodes
+        generations.append((tolls, counts, weights))
+        if weights.size == 0:
+            break
+        size, level = weights.size, level + 1
+    value = np.zeros(0)
+    for tolls, counts, weights in reversed(generations):
+        peaks = np.zeros(tolls.size)
+        np.maximum.at(peaks, np.repeat(np.arange(tolls.size), counts),
+                      weights * value)
+        value = peaks + tolls
+    return float(value[0]), nodes
+
+
+@pytest.mark.parametrize("depth", [6, None], ids=["depth-6", "exact"])
+def test_maxplus_forward_fold_matches_the_backward_fold(depth):
+    m = make_model({
+        "n": {"family": "poisson", "mean": 1.5},
+        "c": {"family": "uniform", "b": 1.2},
+        "q": {"family": "lognormal", "mu": 0.0, "sigma2": 1.0},
+    })
+    reps, budget, seed = 2050, 40, 20260
+    batch = run_batch(m, "max-plus", depth, reps, budget=budget, seed=seed)
+    values, nodes, truncated = [], [], []
+    for i in range(reps):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64)))
+        value, n = _backward_maxplus(m, depth, budget, rng)
+        nodes.append(n)
+        truncated.append(value is None)
+        if value is not None:
+            values.append(value)
+    assert 0 < sum(truncated) < reps
+    assert batch.truncated.tolist() == truncated
+    assert batch.node_counts.tolist() == nodes
+    np.testing.assert_allclose(batch.values, values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.9], ids=["model_b", "model_b09"])
+@pytest.mark.parametrize("depth", [0, 3, 8, None],
+                         ids=["depth-0", "depth-3", "depth-8", "exact"])
+def test_maxplus_equals_linear_bit_for_bit_when_n_at_most_one(scale, depth):
+    # on a chain the largest path sum is the whole sum, added in one order
+    spec = model_b_spec(scale)
+    spec["q"] = {"family": "lognormal", "mu": 0.0, "sigma2": 1.0}
+    m = make_model(spec)
+    for budget in (engine.DEFAULT_BUDGET, 3):
+        linear = run_batch(m, "linear", depth, 2050, budget=budget, seed=41)
+        maxplus = run_batch(m, "max-plus", depth, 2050, budget=budget,
+                            seed=41)
+        assert maxplus.values.tobytes() == linear.values.tobytes()
+        assert np.array_equal(maxplus.truncated, linear.truncated)
+        assert np.array_equal(maxplus.node_counts, linear.node_counts)
+        if budget == 3 and depth != 0:
+            assert linear.truncated.any()
+
+
 # determinism across worker counts
 
 
