@@ -153,6 +153,9 @@ def _apply_set(config, assignment):
     leaf = keys[-1]
     if keys[0] != "model" and leaf not in target:
         raise ConfigError(f"unknown config key: {dotted}")
+    # a YAML mapping such as two-point values may hold integer keys
+    leaf = next((key for key in target
+                 if type(key) is int and str(key) == leaf), leaf)
     target[leaf] = yaml.load(raw, Loader=_Loader)
 
 

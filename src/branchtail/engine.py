@@ -30,6 +30,7 @@ counted, never clipped; their values are excluded from estimates.
 
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -408,6 +409,7 @@ def truncation_bound(model, beta, depth, rng=None):
 # batch serialization
 
 _CSV_MAGIC = "branchtail-batch v1"
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 def _floats_csv(array):
@@ -417,7 +419,9 @@ def _floats_csv(array):
 def write_batch_csv(batch, path):
     """Write one value per row with a metadata header.
 
-    Floats are written with repr so the round-trip is bit-exact.
+    Floats are written with repr so the round-trip is bit-exact.  Value
+    rows are formatted and written a block at a time, so the text of
+    the whole batch is never held in memory.
     """
     meta = {
         "kind": batch.kind,
@@ -438,14 +442,21 @@ def write_batch_csv(batch, path):
     lines = [f"# {_CSV_MAGIC}"]
     lines.extend(f"# {key}={text}" for key, text in meta.items())
     lines.append("value")
-    lines.extend(repr(float(v)) for v in batch.values)
-    lines.append("")
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines))
+        handle.write("\n".join(lines) + "\n")
+        for start in range(0, batch.values.size, _CSV_BLOCK_ROWS):
+            block = batch.values[start:start + _CSV_BLOCK_ROWS].tolist()
+            handle.write("\n".join(map(repr, block)) + "\n")
 
 
 def read_batch_csv(path):
     """Reconstruct a SampleBatch written by write_batch_csv.
+
+    The ``# key=value`` header is parsed line by line; the value rows go
+    straight into one float64 array through numpy's text reader, whose
+    conversion is correctly rounded, so no Python float is made per row
+    and every repr-written value comes back bit for bit.  Blank rows
+    are skipped.
 
     Raises EngineError on a field or row that does not parse, and on
     values that break a SampleBatch invariant: a value that is not finite
@@ -454,29 +465,30 @@ def read_batch_csv(path):
     batch carries the aggregate statistics only.
     """
     meta = {}
-    values = []
     with open(path, newline="") as handle:
-        first = handle.readline().strip()
-        if first != f"# {_CSV_MAGIC}":
+        if handle.readline().strip() != f"# {_CSV_MAGIC}":
             raise EngineError(f"{path} is not a batch CSV")
-        in_header = True
-        for line in handle:
-            line = line.rstrip("\n")
-            if in_header and line.startswith("# "):
-                key, _, text = line[2:].partition("=")
-                meta[key] = text
-                continue
-            if in_header:
-                if line != "value":
-                    raise EngineError("batch CSV missing the value column")
-                in_header = False
-                continue
-            if line:
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise EngineError(
-                        f"batch CSV value row {line!r} is not a number") from None
+        line = handle.readline().rstrip("\n")
+        while line.startswith("# "):
+            key, _, text = line[2:].partition("=")
+            meta[key] = text
+            line = handle.readline().rstrip("\n")
+        if line != "value":
+            raise EngineError("batch CSV missing the value column")
+        start = handle.tell()
+        try:
+            with warnings.catch_warnings():
+                # no value rows: the count check below rejects the file
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                values = np.loadtxt(handle, dtype=float, delimiter=",",
+                                    comments=None, ndmin=1)
+                if values.ndim != 1:  # every row holds the same extra fields
+                    raise ValueError(f"value rows hold {values.shape[1]} fields")
+        except UnicodeDecodeError:  # the bytes are at fault, not a row
+            raise
+        except ValueError as exc:
+            handle.seek(start)
+            raise EngineError(_bad_value_row(handle, exc)) from None
     try:
         depth = None if meta["depth"] == "exact" else int(meta["depth"])
         level_mean = (np.array([float(x) for x in meta["level_mean"].split(",")])
@@ -487,7 +499,7 @@ def read_batch_csv(path):
         fields = dict(
             kind=meta["kind"],
             depth=depth,
-            values=np.asarray(values, dtype=float),
+            values=values,
             seed=int(meta["seed"]),
             stream_count=int(meta["stream_count"]),
             budget=int(meta["budget"]),
@@ -504,6 +516,21 @@ def read_batch_csv(path):
     except ValueError as exc:
         raise EngineError(f"batch CSV metadata does not parse: {exc}") from None
     return SampleBatch(**fields)
+
+
+def _bad_value_row(rows, exc):
+    """Message naming the first value row the text reader rejected."""
+    for line in rows:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            float(line)
+        except ValueError:
+            break
+    else:
+        return f"batch CSV value rows do not parse: {exc}"
+    return f"batch CSV value row {line!r} is not a number"
 
 
 def summary(batch):

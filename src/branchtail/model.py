@@ -172,12 +172,20 @@ class GeometricCount:
         return {"family": self.family, "p": self.p}
 
 
+# numpy's poisson refuses a larger mean: its draws would overflow int64
+_POISSON_MAX_MEAN = float(np.iinfo(np.int64).max
+                          - 10 * math.sqrt(np.iinfo(np.int64).max))
+
+
 class PoissonCount:
     family = "poisson"
 
     def __init__(self, mean):
         if mean <= 0:
             raise ModelError("poisson mean must be positive")
+        if mean > _POISSON_MAX_MEAN:
+            raise ModelError(f"poisson mean must be at most "
+                             f"{_POISSON_MAX_MEAN!r}, numpy's sampling limit")
         self.lam = float(mean)
 
     def sample(self, rng, size):

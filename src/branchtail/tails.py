@@ -23,6 +23,7 @@ _MIN_PLATEAU_POINTS = 50
 _SWEEP_POINTS = 12
 _SWEEP_DRIFT_THRESHOLD = 0.5
 _PLATEAU_SEED = 0x7A11B007
+_BOOTSTRAP_BLOCK = 16
 
 
 class TailError(ValueError):
@@ -211,7 +212,11 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
     ``quantile_band``; each gives one plateau point.  Confidence limits
     come from bootstrap resampling of replications, implemented as a
     multinomial redraw of the window's bin counts so each resample costs
-    only the window size.
+    only the window size.  Resamples are drawn a fixed block of rows at
+    a time and reduced to their medians at once, so memory holds one
+    block of window-sized rows whatever ``bootstrap`` is; a stacked
+    multinomial draw equals its blocks drawn in turn, so the result does
+    not depend on the block size.
 
     Parameters
     ----------
@@ -258,11 +263,14 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
         rng = np.random.default_rng(_PLATEAU_SEED)
     # bin the sample by the grid: counts below, between grid points, above
     edges = np.searchsorted(ordered, grid, side="right")
-    bin_counts = np.diff(np.concatenate(([0], edges, [n])))
-    draws = rng.multinomial(n, bin_counts / n, size=bootstrap)
-    # exceedance of grid[i] = everything in bins strictly above it
-    upper = draws[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
-    boot = np.median(powers * upper / n, axis=1)
+    bin_share = np.diff(np.concatenate(([0], edges, [n]))) / n
+    boot = np.empty(bootstrap)
+    for first in range(0, bootstrap, _BOOTSTRAP_BLOCK):
+        rows = boot[first:first + _BOOTSTRAP_BLOCK]
+        draws = rng.multinomial(n, bin_share, size=rows.size)
+        # exceedance of grid[i] = everything in bins strictly above it
+        upper = draws[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
+        np.median(powers * upper / n, axis=1, out=rows)
     lo, hi = np.quantile(boot, [0.025, 0.975])
     se = float(boot.std(ddof=1))
     return PlateauEstimate(h, se, float(lo), float(hi),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,9 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
       "--force"], None),
     (["--set", "model.c={family: uniform, b: .inf}", "simulate", "--force"],
      None),
+    # above numpy's largest poisson mean
+    (["--set", "model.n={family: poisson, mean: 1.0e+19}", "simulate",
+      "--force"], None),
     # a NaN parameter used to reach sampling and every check of verify
     (["--set", "model.c.sigma2=.nan", "verify"], None),
     (["--set", "model.c.mu=.nan", "verify"], None),
@@ -306,7 +310,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "tol-zero", "verify-reps-one", "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
         "renewal-n-zero", "renewal-n-five", "model-scale-word",
-        "model-mean-inf", "model-bound-inf", "model-sigma2-nan",
+        "model-mean-inf", "model-bound-inf", "model-mean-huge",
+        "model-sigma2-nan",
         "model-mu-nan", "model-scale-nan", "model-unknown-param",
         "model-support-list", "model-support-fraction",
         "model-moment-overflow", "model-scale-overflow",
@@ -331,6 +336,16 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
     assert len(err.strip().splitlines()) == 1
     if corrupt is not None:
         assert err.startswith("cannot read batch")
+
+
+def test_set_reaches_an_integer_key(tmp_path, capsys):
+    path = write_config(tmp_path, model_b_spec(0.9),
+                        output_dir=str(tmp_path / "out"))
+    sets = ["--set", "model.n.values.0=0.3", "--set", "model.n.values.1=0.7"]
+    config = load_config(path, sets=sets[1::2])
+    assert config["model"]["n"]["values"] == {0: 0.3, 1: 0.7}
+    assert main(["--config", path] + sets + ["solve-alpha"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_yaml_floats_without_a_dot(tmp_path, capsys):
@@ -457,6 +472,29 @@ def test_corrupt_batch_csv_exits_one(corrupt_target, data):
     assert code == 1
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("values", ["", "0.5\n1.0,2.0\n0.5\n",
+                                    "1.0,2.0\n1.0,2.0\n"],
+                         ids=["no-value-rows", "two-fields", "all-two-fields"])
+def test_bad_value_section_exits_one_in_one_line(corrupt_target, values):
+    config, batch = corrupt_target
+    text = batch.read_text()
+    head = text[:text.index("\nvalue\n") + len("\nvalue\n")]
+    corrupt = batch.with_name("section.csv")
+    corrupt.write_text(head + values)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["--config", config, "analyze", "--batch", str(corrupt)])
+    assert code == 1
+    assert caught == []
+    lines = err.getvalue().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot read batch")
+    if values:
+        assert "'1.0,2.0'" in lines[0]
 
 
 # verify

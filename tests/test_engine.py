@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -369,6 +370,25 @@ def test_csv_round_trip_keeps_every_bit(values):
         write_batch_csv(batch, path)
         loaded = read_batch_csv(path)
     assert loaded.values.tobytes() == values.tobytes()
+
+
+def test_read_batch_csv_holds_little_beyond_the_values(tmp_path):
+    values = np.random.default_rng(9).lognormal(0.0, 3.0, 200_000)
+    batch = SampleBatch(
+        kind="linear", depth=3, values=values, seed=0,
+        stream_count=values.size, budget=1, total_nodes=values.size,
+        truncated_replications=0, level_mean=np.ones(1),
+        level_max=np.ones(1, dtype=np.int64), model_fingerprint="f")
+    path = tmp_path / "batch.csv"
+    write_batch_csv(batch, path)
+    tracemalloc.start()
+    try:
+        loaded = read_batch_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == values.tobytes()
+    assert peak < 2 * values.nbytes + 2 ** 20
 
 
 def test_summary_is_json_ready(model_b09):

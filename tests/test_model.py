@@ -59,6 +59,16 @@ def test_make_model_rejects_unknown_family_and_bad_params():
         )
 
 
+def test_poisson_mean_stops_at_numpys_sampling_limit():
+    limit = float(np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max))
+    spec = {"n": {"family": "poisson", "mean": limit}, "c": det(1), "q": det(1)}
+    model = make_model(spec)
+    assert model.n_law.sample(np.random.default_rng(0), 1)[0] > 0
+    spec["n"]["mean"] = np.nextafter(limit, math.inf)
+    with pytest.raises(ModelError, match="poisson mean must be at most"):
+        make_model(spec)
+
+
 def test_sample_vector_deterministic_model():
     m = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
     q, n, c = sample_vector(m, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats as sstats
 
 from branchtail.engine import run_batch
 from branchtail.tails import (
+    DEFAULT_QUANTILE_BAND,
     TailError,
     default_survival_grid,
     default_tail_count,
@@ -147,6 +149,52 @@ def test_plateau_reproducible_without_rng():
     b = plateau_constant(x, 1.0)
     assert (a.h, a.std_error, a.ci_low, a.ci_high) == (
         b.h, b.std_error, b.ci_low, b.ci_high)
+
+
+def one_shot_plateau(x, alpha, bootstrap, seed):
+    # every resample drawn in one multinomial, as a stacked bootstrap would
+    ordered = np.sort(x)
+    n = x.size
+    q_lo, q_hi = DEFAULT_QUANTILE_BAND
+    window = ordered[int(math.floor(q_lo * n)):int(math.ceil(q_hi * n))]
+    grid = np.unique(window[window > 0])
+    powers = grid ** alpha
+    edges = np.searchsorted(ordered, grid, side="right")
+    h = float(np.median(powers * (n - edges) / n))
+    bins = np.diff(np.concatenate(([0], edges, [n])))
+    draws = np.random.default_rng(seed).multinomial(n, bins / n, size=bootstrap)
+    upper = draws[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
+    boot = np.median(powers * upper / n, axis=1)
+    lo, hi = np.quantile(boot, [0.025, 0.975])
+    return h, float(boot.std(ddof=1)), float(lo), float(hi)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bootstrap", [200, 1])
+def test_plateau_blocks_match_one_stacked_draw(bootstrap):
+    x = pareto(1.2, 60_000, 34)
+    est = plateau_constant(x, 1.2, bootstrap=bootstrap,
+                           rng=np.random.default_rng(35))
+    got = (est.h, est.std_error, est.ci_low, est.ci_high)
+    # exact equality; one resample has no spread, so both SEs are NaN there
+    assert np.array_equal(got, one_shot_plateau(x, 1.2, bootstrap, 35),
+                          equal_nan=True)
+
+
+def traced_peak(function, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        function(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plateau_memory_does_not_grow_with_bootstrap():
+    x = pareto(1.0, 100_000, 36)
+    small = traced_peak(plateau_constant, x, 1.0, bootstrap=16)
+    large = traced_peak(plateau_constant, x, 1.0, bootstrap=400)
+    assert abs(large - small) < 2 ** 20
 
 
 def test_plateau_window_validation():
