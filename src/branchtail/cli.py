@@ -98,6 +98,7 @@ _PAIRS = ("solver.bracket", "tails.quantile_band", "verify.iterate_starts")
 _RANGES = (
     ("seed", lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
     ("solver.tol", lambda v: v > 0, "> 0"),
+    ("tails.bootstrap", lambda v: v == 0 or v >= 2, "0 or >= 2"),
     ("verify.renewal_reps", lambda v: v >= 2, ">= 2"),
     ("verify.moment_reps", lambda v: v >= 2, ">= 2"),
     ("verify.iterate_reps", lambda v: v >= 2, ">= 2"),

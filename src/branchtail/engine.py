@@ -132,6 +132,10 @@ def _draw_tolls(model, kind, last, boundary, rng, size):
     return model.draw_q(rng, size)
 
 
+_ROOT = np.ones(1)
+_ROOT.flags.writeable = False  # every replication starts from it
+
+
 def _replicate(model, kind, depth, budget, rng, boundary=None):
     """One replication, grown generation by generation; returns (value, nodes, z).
 
@@ -144,9 +148,10 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
     ``boundary`` law replaces Q at generation ``depth`` (iterate-from).
 
     A None value means the node budget was hit and the replication
-    abandoned; ``z`` lists the generation sizes grown so far.
+    abandoned, before the weights of the generation that hit it were
+    drawn; ``z`` lists the generation sizes grown so far.
     """
-    pi = np.ones(1)
+    pi = _ROOT
     nodes = 1
     z = [1]
     level = 0
@@ -161,21 +166,21 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
             path = path + tolls * pi
             acc = max(acc, float(path.max()))
         elif tolls is not None:
-            acc += float(tolls @ pi)
+            acc += tolls @ pi
         if last:
             break
-        counts, weights = model.draw_offspring(rng, pi.size)
-        nodes += weights.size
-        if nodes > budget:
-            return None, nodes, z
+        counts, weights = model.draw_offspring(rng, pi.size, budget - nodes)
+        if weights is None:
+            return None, nodes + int(counts.sum()), z
         if weights.size == 0:
             break  # the tree died
+        nodes += weights.size
         if kind == "max-plus":
-            path = np.repeat(path, counts)
-        pi = np.repeat(pi, counts) * weights
+            path = path.repeat(counts)
+        pi = pi.repeat(counts) * weights
         z.append(weights.size)
         level += 1
-    return acc, nodes, z
+    return float(acc), nodes, z
 
 
 def generation_frontier(model, depth, trees, budget, rng):
@@ -189,6 +194,10 @@ def generation_frontier(model, depth, trees, budget, rng):
     whose node count through a generation exceeds ``budget`` is dropped
     from then on, as ``run_batch`` abandons a replication.  Memory is
     linear in the widest generation of the forest.
+
+    Unlike ``run_batch``, every child weight is drawn before the budget
+    is checked: the trees share one stream, so drawing fewer weights for
+    a dropped tree would move every later draw of the others.
     """
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise EngineError("depth must be an integer >= 0")
@@ -199,8 +208,8 @@ def generation_frontier(model, depth, trees, budget, rng):
     yield pi, owner, alive
     for _ in range(depth):
         counts, weights = model.draw_offspring(rng, pi.size)
-        owner = np.repeat(owner, counts)
-        pi = np.repeat(pi, counts) * weights
+        owner = owner.repeat(counts)
+        pi = pi.repeat(counts) * weights
         nodes += np.bincount(owner, minlength=trees)
         dropped = alive & (nodes > budget)
         if dropped.any():

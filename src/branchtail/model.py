@@ -71,9 +71,10 @@ class DeterministicCount:
         if value != int(value) or value < 0:
             raise ModelError("deterministic count must be a nonnegative integer")
         self.value = int(value)
+        self._one = np.array([self.value], dtype=np.int64)
 
     def sample(self, rng, size):
-        return np.full(size, self.value, dtype=np.int64)
+        return self._one.repeat(size)
 
     def mean(self):
         return float(self.value)
@@ -115,10 +116,11 @@ class TwoPointCount:
             raise ModelError("two-point probabilities must lie in [0, 1]")
         if abs(self.pa + self.pb - 1.0) > 1e-12:
             raise ModelError("two-point probabilities must sum to 1")
+        self._support = np.array([self.a, self.b], dtype=np.int64)
 
     def sample(self, rng, size):
-        u = rng.random(size)
-        return np.where(u < self.pa, self.a, self.b).astype(np.int64)
+        # a where u < pa, b otherwise
+        return self._support.take(rng.random(size) >= self.pa)
 
     def mean(self):
         return self.a * self.pa + self.b * self.pb
@@ -222,9 +224,10 @@ class DeterministicValue:
         if value < 0:
             raise ModelError("deterministic value must be nonnegative")
         self.value = float(value)
+        self._one = np.array([self.value])
 
     def sample(self, rng, size):
-        return np.full(size, self.value)
+        return self._one.repeat(size)
 
     def moment(self, theta):
         # 0^0 = 1 convention so theta = 0 returns total mass
@@ -452,14 +455,21 @@ class VectorModel:
             return np.ones(size)
         return self.q_law.sample(rng, size)
 
-    def draw_offspring(self, rng, size):
+    def draw_offspring(self, rng, size, limit=None):
         """Draw counts for ``size`` nodes, then all child weights flat.
 
         Draw order (counts first, then weights) is part of the replication
-        stream contract; changing it breaks cross-depth coupling.
+        stream contract; changing it breaks cross-depth coupling.  When
+        more than ``limit`` children are born, returns ``(counts, None)``
+        without drawing their weights.  Without children no weight is
+        drawn either, as a draw of none uses no randomness.
         """
         counts = self.n_law.sample(rng, size)
         total = int(counts.sum())
+        if limit is not None and total > limit:
+            return counts, None
+        if total == 0:
+            return counts, np.empty(0)
         weights = self.c_law.sample(rng, total)
         if self.c_scale != 1.0:
             weights = weights * self.c_scale

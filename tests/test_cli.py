@@ -272,6 +272,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "solver.tol=.inf", "solve-alpha"], None),
     (["--set", "solver.tol=0.0", "solve-alpha"], None),
     (["--set", "verify.iterate_reps=1", "verify"], None),
+    (["--set", "tails.bootstrap=1", "solve-alpha"], None),
+    (["--set", "tails.bootstrap=-1", "solve-alpha"], None),
     (["--seed", "-1", "verify"], None),
     (["--set", "verify.moment_depths=[-1, 2]", "verify"], None),
     (["--set", "verify.iterate_starts=[-1.0, 100.0]", "verify"], None),
@@ -307,7 +309,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
 ], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
         "float-list-word", "float-list-short", "set-section", "kind-word",
         "float-list-nan", "float-nan", "threshold-nan", "tol-nan", "tol-inf",
-        "tol-zero", "verify-reps-one", "seed-negative",
+        "tol-zero", "verify-reps-one", "bootstrap-one", "bootstrap-negative",
+        "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
         "renewal-n-zero", "renewal-n-five", "model-scale-word",
         "model-mean-inf", "model-bound-inf", "model-mean-huge",

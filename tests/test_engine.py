@@ -133,6 +133,24 @@ def test_budget_all_truncated_is_an_error(model_a):
         run_batch(model_a, "linear", 25, 50, budget=1, seed=2)
 
 
+def test_budget_hit_draws_no_weights_of_the_generation_over_it():
+    # a million children per node: their weights alone would take 8 MB
+    m = make_model({"n": {"family": "poisson", "mean": 1e6},
+                    "c": {"family": "uniform", "b": 1e-6}, "q": det(1.0)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineError, match="budget"):
+            run_batch(m, "linear", 3, 4, budget=1000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    value, nodes, z = engine._replicate(m, "linear", 3, 1000,
+                                        np.random.default_rng(2))
+    born = m.n_law.sample(np.random.default_rng(2), 1)[0]
+    assert (value, nodes, z) == (None, 1 + born, [1])
+
+
 def test_generation_frontier_grows_a_forest_with_owners():
     binary = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
     rng = np.random.default_rng(0)
@@ -240,6 +258,77 @@ def test_batch_replays_fresh_generator_per_replication(kind):
             values.append(value)
     assert 0 < sum(truncated) < reps
     assert np.array_equal(batch.values, values)
+    assert batch.node_counts.tolist() == nodes
+    assert batch.truncated.tolist() == truncated
+
+
+def _v1_replication(model, kind, depth, budget, seed, i):
+    """Replication i of stream contract v1 on a two-point count, lognormal
+    weight and deterministic toll model, written out with plain numpy
+    calls: tolls, then counts, then every child weight, per generation."""
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, i], dtype=np.uint64)))
+    n_law, c_law, q = model.n_law, model.c_law, model.q_law.value
+    pi, path, acc, nodes, level = np.ones(1), 0.0, 0.0, 1, 0
+    while True:
+        last = level == depth
+        if kind != "homogeneous-martingale" or last:
+            tolls = np.full(pi.size, q)
+            if kind == "max":
+                acc = max(acc, float((tolls * pi).max()))
+            elif kind == "max-plus":
+                path = path + tolls * pi
+                acc = max(acc, float(path.max()))
+            else:
+                acc += float(tolls @ pi)
+        if last:
+            break
+        u = rng.random(pi.size)
+        counts = np.where(u < n_law.pa, n_law.a, n_law.b).astype(np.int64)
+        weights = rng.lognormal(c_law.mu, c_law.sigma, int(counts.sum()))
+        weights = weights * model.c_scale
+        nodes += weights.size
+        if nodes > budget:
+            return None, nodes
+        if weights.size == 0:
+            break
+        if kind == "max-plus":
+            path = np.repeat(path, counts)
+        pi = np.repeat(pi, counts) * weights
+        level += 1
+    return acc, nodes
+
+
+_V1_CASES = [("b", depth, kind) for depth in (8, None)
+             for kind in ("linear", "max", "max-plus",
+                          "homogeneous-martingale")]
+_V1_CASES += [("a", 8, kind) for kind in ("linear", "max", "max-plus",
+                                          "homogeneous-martingale")]
+
+
+@pytest.mark.parametrize("model_type, depth, kind", _V1_CASES,
+                         ids=[f"{m}-{d or 'exact'}-{k}" for m, d, k in _V1_CASES])
+def test_batch_follows_stream_contract_v1(model_type, depth, kind):
+    if model_type == "b":  # the perpetuity case, N in {0, 1}
+        m, budget = make_model(model_b_spec(0.9)), 4
+    else:
+        m, budget = make_model({
+            "n": {"family": "two-point", "values": {1: 0.7, 2: 0.3}},
+            "c": {"family": "lognormal", "mu": -0.4, "sigma2": 0.26},
+            "q": det(1.0),
+        }), 40
+    # 2050 replications cross a chunk boundary; the budget abandons some
+    reps, seed = 2050, 424242
+    batch = run_batch(m, kind, depth, reps, budget=budget, seed=seed)
+    values, nodes, truncated = [], [], []
+    for i in range(reps):
+        value, n = _v1_replication(m, kind, depth, budget, seed, i)
+        nodes.append(n)
+        truncated.append(value is None)
+        if value is not None:
+            values.append(value)
+    assert 0 < sum(truncated) < reps
+    assert batch.values.tobytes() == np.array(values).tobytes()
     assert batch.node_counts.tolist() == nodes
     assert batch.truncated.tolist() == truncated
 

@@ -91,6 +91,63 @@ def test_sample_vector_count_frequency(model_b):
     assert abs(p_hat - 0.5) < 3 * se
 
 
+@pytest.mark.parametrize("values", [{0: 0.0, 3: 1.0}, {2: 1.0, 5: 0.0},
+                                    {0: 0.5, 1: 0.5}])
+@pytest.mark.parametrize("size", [0, 1, 10_000])
+def test_two_point_sample_matches_where(values, size):
+    law = make_model({"n": {"family": "two-point", "values": values},
+                      "c": det(1.0), "q": det(1.0)}).n_law
+    counts = law.sample(np.random.default_rng(size), size)
+    u = np.random.default_rng(size).random(size)
+    expected = np.where(u < law.pa, law.a, law.b).astype(np.int64)
+    assert counts.dtype == np.int64
+    assert counts.tobytes() == expected.tobytes()
+
+
+def test_deterministic_samples_are_fresh_full_arrays():
+    m = make_model({"n": det(2), "c": det(0.5), "q": det(1.5)})
+    rng = np.random.default_rng(0)
+    for law, value, dtype in ((m.n_law, 2, np.int64),
+                              (m.q_law, 1.5, np.float64)):
+        for size in (0, 1, 7):
+            first = law.sample(rng, size)
+            assert first.tobytes() == np.full(size, value, dtype).tobytes()
+            first[:] = 0
+            assert (law.sample(rng, size) == value).all()
+
+
+def _stream_after_counts(model, seed, size):
+    rng = np.random.default_rng(seed)
+    counts = model.n_law.sample(rng, size)
+    return counts, rng.bit_generator.state
+
+
+def test_childless_draw_leaves_the_stream_after_the_counts(model_b):
+    leaves = make_model({"n": {"family": "two-point", "values": {0: 1.0, 1: 0.0}},
+                         "c": {"family": "lognormal", "mu": 0.0, "sigma2": 1.0},
+                         "q": det(1.0)})
+    # model_b at seed 2 draws a childless node
+    for model, seed, size in ((leaves, 5, 4), (model_b, 2, 1)):
+        rng = np.random.default_rng(seed)
+        counts, weights = model.draw_offspring(rng, size)
+        expected, state = _stream_after_counts(model, seed, size)
+        assert counts.sum() == 0 and np.array_equal(counts, expected)
+        assert weights.size == 0 and weights.dtype == np.float64
+        assert rng.bit_generator.state == state
+
+
+def test_offspring_over_the_limit_draws_no_weights(model_a):
+    # model_a has one or two children per node: five nodes bear 5 to 10
+    counts, weights = model_a.draw_offspring(np.random.default_rng(3), 5)
+    total = int(counts.sum())
+    rng = np.random.default_rng(3)
+    over, none = model_a.draw_offspring(rng, 5, total - 1)
+    assert none is None and np.array_equal(over, counts)
+    assert rng.bit_generator.state == _stream_after_counts(model_a, 3, 5)[1]
+    same = model_a.draw_offspring(np.random.default_rng(3), 5, total)
+    assert same[1].tobytes() == weights.tobytes()
+
+
 def test_moment_function_calibrations(model_a, model_b):
     assert moment_function(model_b, 1.0).value == pytest.approx(1.0, abs=1e-14)
     assert moment_function(model_a, 1.0).value == pytest.approx(1.0, abs=1e-14)
