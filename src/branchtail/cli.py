@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .constants import ConstantError, tail_constant_report
-from .cramer import SolverError, check_conditions, solve_alpha
+from .cramer import DEFAULT_BRACKET, SolverError, check_conditions, solve_alpha
 from .engine import (
     _KINDS,
     DEFAULT_BUDGET,
@@ -46,7 +46,8 @@ from .engine import (
 from .model import ModelError, make_model
 from .moments import generation_moment_bound, jackknife_mean_se, make_report
 from .renewal import _MAX_CONVOLUTION, TiltError, verify_product_measure
-from .tails import TailError, ks_distance, tail_report
+from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
+                    DEFAULT_QUANTILE_BAND, TailError, ks_distance, tail_report)
 
 SCHEMA = "branchtail-report-v1"
 OUTPUT_DIR_ENV = "BRANCHTAIL_OUTPUT_DIR"
@@ -62,16 +63,16 @@ DEFAULTS = {
     "output_dir": None,
     "truncation_beta": 0.5,
     "solver": {
-        "bracket": [0.1, 8.0],
+        "bracket": list(DEFAULT_BRACKET),
         "tol": 1e-12,
         "epsilon": 0.5,
     },
     "tails": {
         "k": None,
         "alpha": None,
-        "quantile_band": [0.99, 0.9995],
-        "bootstrap": 200,
-        "ks_threshold": 0.02,
+        "quantile_band": list(DEFAULT_QUANTILE_BAND),
+        "bootstrap": DEFAULT_BOOTSTRAP,
+        "ks_threshold": DEFAULT_KS_THRESHOLD,
     },
     "verify": {
         "renewal_n": [1, 2, 3],

@@ -18,9 +18,9 @@ import numpy as np
 from .model import (
     DeterministicValue,
     ModelError,
+    _power_sum_moment,
     moment_function,
     moment_function_deriv,
-    reduce_to_parents,
     sum_moment,
 )
 from .moments import contractive
@@ -100,14 +100,6 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def _require_closed_form(model):
-    # Root finding on noisy Monte Carlo functionals is out of scope; every
-    # supported family pair has closed-form moments, but keep the guard so a
-    # future family without one fails loudly.
-    if model.coupling != "iid-independent":
-        raise SolverError("root solving needs closed-form moments (iid coupling only)")
-
-
 def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
     """Locate alpha with moment_function(model, alpha) = 1, derivative > 0.
 
@@ -123,7 +115,6 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
     ContractionRootError
         The root exists but the derivative there is nonpositive.
     """
-    _require_closed_form(model)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
         raise SolverError(f"invalid bracket {bracket!r}")
@@ -330,16 +321,16 @@ def check_conditions(model, sol, kind, epsilon=0.5):
             )
         )
     else:
-        val, se, method = _epsilon_condition(model, alpha, epsilon)
-        status = "pass" if math.isfinite(val) else "fail"
+        em = _power_sum_moment(model, alpha, 1 + epsilon, 200_000,
+                               _mc_entry_rng())
         entries.append(
             ConditionEntry(
                 "moment-condition-eps",
-                status,
-                f"E[(sum C^(a/(1+eps)))^(1+eps)] ~ {val:.6g} "
-                f"(eps = {epsilon:g}, {method})",
-                val,
-                se,
+                "pass" if math.isfinite(em.value) else "fail",
+                f"E[(sum C^(a/(1+eps)))^(1+eps)] ~ {em.value:.6g} "
+                f"(eps = {epsilon:g}, {em.method})",
+                em.value,
+                em.std_error,
             )
         )
 
@@ -365,25 +356,6 @@ def check_conditions(model, sol, kind, epsilon=0.5):
         )
 
     return ConditionReport(entries)
-
-
-def _epsilon_condition(model, alpha, epsilon):
-    """E[(sum_i C_i^(alpha/(1+eps)))^(1+eps)], closed form for N <= 1."""
-    n_max = model.n_law.max_value()
-    if n_max is not None and n_max <= 1:
-        # single term: the inner and outer powers cancel to C^alpha
-        p_one = 1.0 - model.n_law.prob_zero()
-        return p_one * model.c_moment(alpha), 0.0, "closed-form"
-    rng = _mc_entry_rng()
-    reps = 200_000
-    counts, weights = model.draw_offspring(rng, reps)
-    inner = reduce_to_parents(np.add, counts, weights ** (alpha / (1 + epsilon)))
-    powered = inner ** (1 + epsilon)
-    return (
-        float(powered.mean()),
-        float(powered.std(ddof=1) / math.sqrt(reps)),
-        "monte-carlo",
-    )
 
 
 def _prob_two_positive_children(model):

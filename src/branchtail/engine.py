@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .model import make_value_law, moment_function
-from .moments import constructive_constant, contractive
+from .moments import contractive, generation_moment_bound
 
 DEFAULT_BUDGET = 10 ** 7
 _CHUNK = 2048  # fixed so reductions associate identically for any worker count
@@ -387,31 +387,25 @@ def truncation_bound(model, beta, depth, rng=None):
     max and max-plus values gain at most that remainder when the tree is
     grown past ``depth``, so the bound holds for them too.
 
-    For beta <= 1 the bound is E[Q^beta] rho_beta^(depth+1) / (1 - rho_beta),
-    valid whenever rho_beta < 1.  For beta > 1 it is
-    K_beta eta^(depth+1) / (1 - eta^(1/beta))^beta with eta = rho v rho_beta
-    and K_beta the constructive constant.  Outside the contractive regime
-    the bound is infinite and ``inf`` is returned rather than raising.
+    The remainder is the tail of the generation sums W_n, n > depth, so
+    the bound is ``generation_moment_bound`` at n = depth + 1 times the
+    geometric tail sum 1 / (1 - eta^(1/p))^p, with p = beta v 1
+    (subadditivity below 1, Minkowski above) and eta = rho_beta for
+    beta <= 1, rho v rho_beta above.  Outside the contractive regime it
+    returns ``inf`` before any draw rather than raising.
     """
     if beta <= 0:
         raise EngineError("moment order must be positive")
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise EngineError("depth must be an integer >= 0")
-    rho_beta = moment_function(model, float(beta)).value
-    if beta <= 1.0:
-        if not contractive(rho_beta):
-            return math.inf
-        return (model.q_moment(float(beta)) * rho_beta ** (depth + 1)
-                / (1.0 - rho_beta))
-    rho = moment_function(model, 1.0).value
-    eta = max(rho, rho_beta)
+    eta = moment_function(model, beta).value
+    if beta > 1.0:
+        eta = max(moment_function(model, 1.0).value, eta)
     if not contractive(eta):
         return math.inf
-    k_beta = constructive_constant(model, beta, rng=rng)
-    if k_beta.diverged:
-        return math.inf
-    return (k_beta.value * eta ** (depth + 1)
-            / (1.0 - eta ** (1.0 / beta)) ** beta)
+    head = generation_moment_bound(model, beta, depth + 1, rng=rng).value
+    p = max(beta, 1.0)
+    return head / (1.0 - eta ** (1.0 / p)) ** p
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "moment_function_mc",
     "sum_moment",
     "dominance_ratio",
+    "mean_se",
     "reduce_to_parents",
     "resample_children",
 ]
@@ -627,8 +628,8 @@ def moment_function_mc(model, theta, reps, rng):
     """Monte Carlo counterpart of moment_function, for cross-checks."""
     counts, weights = model.draw_offspring(rng, reps)
     terms = reduce_to_parents(np.add, counts, weights ** theta)
-    se = float(terms.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return MomentValue(float(terms.mean()), "monte-carlo", se)
+    estimate, se = mean_se(terms)
+    return MomentValue(estimate, "monte-carlo", se)
 
 
 def dominance_ratio(samples):
@@ -643,29 +644,46 @@ def dominance_ratio(samples):
     return float(np.abs(samples).max() / total)
 
 
+def mean_se(samples):
+    """Sample mean and its iid standard error std(ddof=1) / sqrt(n), 0 for n = 1."""
+    n = samples.size
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(samples.mean()), se
+
+
 def sum_moment(model, beta, reps=100_000, rng=None):
     """E[(sum_i C_i)^beta].
 
     Closed form when N <= 1 almost surely (P(N=1) * E[C^beta]) or when both
     laws are deterministic; Monte Carlo with a standard error otherwise.
     """
+    return _power_sum_moment(model, beta, beta, reps, rng)
+
+
+def _power_sum_moment(model, theta, beta, reps, rng):
+    """E[(sum_i C_i^(theta/beta))^beta], estimated as ``sum_moment`` says."""
     if beta <= 0:
         raise ModelError("moment order must be positive")
+    inner = theta / beta
     n_max = model.n_law.max_value()
     if n_max is not None and n_max <= 1:
+        # a single term: the inner and outer powers cancel to C^theta
         p_one = 1.0 - model.n_law.prob_zero()
-        return MomentValue(p_one * model.c_moment(beta), "closed-form")
+        return MomentValue(p_one * model.c_moment(theta), "closed-form")
     if isinstance(model.n_law, DeterministicCount) and isinstance(
         model.c_law, DeterministicValue
     ):
-        total = model.n_law.value * model.c_law.value * model.c_scale
+        total = (model.n_law.value * model.c_law.value ** inner
+                 * model.c_scale ** inner)
         return MomentValue(total ** beta, "closed-form")
     if rng is None:
         raise ModelError("sum_moment needs an rng for Monte Carlo estimation")
     if reps < 1:
         raise ModelError("reps must be >= 1")
     counts, weights = model.draw_offspring(rng, reps)
+    if inner != 1.0:
+        weights = weights ** inner
     powered = reduce_to_parents(np.add, counts, weights) ** beta
-    se = float(powered.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    estimate, se = mean_se(powered)
     suspect = reps >= 1000 and dominance_ratio(powered) > 0.05
-    return MomentValue(float(powered.mean()), "monte-carlo", se, suspect=suspect)
+    return MomentValue(estimate, "monte-carlo", se, suspect=suspect)

@@ -4,7 +4,7 @@ The generation sums W_n of a weighted branching process satisfy
 E[W_n] = E[Q] rho^n with rho the mean of the weight sum, and their
 beta-moments admit explicit geometric bounds.  For beta <= 1 the bound
 is subadditive and needs no contraction assumption; for beta > 1 it
-relies on a constructive constant K_beta built by induction over integer
+relies on a constructive constant K_beta built by one induction over the
 moment orders.  This module computes the exact identities, transcribes
 the constant literally (no sharpening), and verifies every inequality by
 Monte Carlo on sampled batches.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelError, MomentValue, moment_function,
+from .model import (ModelError, MomentValue, mean_se, moment_function,
                     reduce_to_parents, resample_children, sum_moment)
 
 _JACKKNIFE_BLOCKS = 100
@@ -101,39 +101,15 @@ def fixed_point_mean_exact(model):
     return model.q_mean() / (1.0 - rho)
 
 
-def _k_integer(model, p, rng=None):
-    """Constructive constant K_p for integer p >= 1, by induction.
-
-    K_1 = E[Q].  Each step closes a geometric series driven by
-    eta_p = rho_p v rho, so finiteness requires eta_p < 1 at every
-    level above the base.
-    """
-    k = model.q_mean()
-    method = "closed-form"
-    suspect = False
-    rho = moment_function(model, 1.0).value
-    for step in range(2, p + 1):
-        rho_p = moment_function(model, float(step)).value
-        eta = max(rho_p, rho)
-        if not contractive(eta):
-            return MomentValue(math.inf, method, diverged=True)
-        csum = sum_moment(model, float(step), rng=rng)
-        if csum.method == "monte-carlo":
-            method = "monte-carlo"
-            suspect = suspect or csum.suspect
-        big_k = csum.value * k ** (step / (step - 1.0))
-        series = 1.0 / (1.0 - eta ** (1.0 / (step - 1.0)))
-        k = model.q_moment(float(step)) + big_k / eta * series
-    return MomentValue(k, method, suspect=suspect)
-
-
 def constructive_constant(model, beta, rng=None):
     """The proof constant K_beta with E[W_n^beta] <= K_beta (rho v rho_beta)^n.
 
-    Transcribed literally from the inductive proof: integer orders build
-    on each other, and a fractional order beta in (p-1, p) adds one
-    interpolation step with gamma = beta / (p - 1).  The constant is not
-    optimized; it exists to make truncation error certificates explicit.
+    Transcribed literally from the inductive proof as one induction from
+    K_1 = E[Q] over the orders x = 2, ..., ceil(beta) - 1 and then beta.
+    Order x builds on below = ceil(x) - 1 with eta = rho_x v rho:
+    K_x = E[Q^x] + E[(sum C)^x] K_below^(x/below) / eta
+    / (1 - eta^((x - below)/below)), finite only while eta < 1.  The
+    constant is not optimized; it makes truncation certificates explicit.
 
     Parameters
     ----------
@@ -141,7 +117,7 @@ def constructive_constant(model, beta, rng=None):
     beta : float
         Moment order, >= 1.
     rng : numpy Generator, optional
-        Needed only when E[(sum C)^beta] has no closed form.
+        Needed only when E[(sum C)^x] has no closed form.
 
     Returns
     -------
@@ -150,28 +126,26 @@ def constructive_constant(model, beta, rng=None):
     """
     if beta < 1.0:
         raise BoundError("constructive constant is defined for beta >= 1")
-    p = math.ceil(beta)
-    if p == beta:
-        return _k_integer(model, int(beta), rng=rng)
-    base = _k_integer(model, p - 1, rng=rng)
-    if base.diverged:
-        return base
+    orders = [float(x) for x in range(2, math.ceil(beta))]
+    if beta > 1.0:
+        orders.append(float(beta))
     rho = moment_function(model, 1.0).value
-    rho_beta = moment_function(model, beta).value
-    eta = max(rho, rho_beta)
-    if not contractive(eta):
-        return MomentValue(math.inf, base.method, diverged=True)
-    gamma = beta / (p - 1.0)
-    csum = sum_moment(model, beta, rng=rng)
-    method = base.method
-    suspect = base.suspect
-    if csum.method == "monte-carlo":
-        method = "monte-carlo"
-        suspect = suspect or csum.suspect
-    big_k = csum.value * base.value ** (beta / (p - 1.0))
-    series = 1.0 / (1.0 - eta ** (gamma - 1.0))
-    value = model.q_moment(beta) + big_k / eta * series
-    return MomentValue(value, method, suspect=suspect)
+    k = model.q_mean()
+    method = "closed-form"
+    suspect = False
+    for x in orders:
+        below = math.ceil(x) - 1
+        eta = max(moment_function(model, x).value, rho)
+        if not contractive(eta):
+            return MomentValue(math.inf, method, diverged=True)
+        csum = sum_moment(model, x, rng=rng)
+        if csum.method == "monte-carlo":
+            method = "monte-carlo"
+            suspect = suspect or csum.suspect
+        big_k = csum.value * k ** (x / below)
+        series = 1.0 / (1.0 - eta ** ((x - below) / below))
+        k = model.q_moment(x) + big_k / eta * series
+    return MomentValue(k, method, suspect=suspect)
 
 
 def generation_moment_bound(model, beta, n, rng=None):
@@ -237,8 +211,7 @@ def verify_sum_inequality(model, beta, y_values, reps, rng):
     counts, terms = resample_children(model, y, reps, rng)
     lhs_samples = (reduce_to_parents(np.add, counts, terms) ** beta
                    - reduce_to_parents(np.add, counts, terms ** beta))
-    estimate = float(lhs_samples.mean())
-    se = float(lhs_samples.std(ddof=1) / math.sqrt(reps))
+    estimate, se = mean_se(lhs_samples)
     y_moment = float(np.mean(y ** (p - 1)))
     csum = sum_moment(model, beta, rng=rng)
     bound = y_moment ** (beta / (p - 1.0)) * csum.value

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (LognormalValue, ModelError, UniformValue, dominance_ratio,
-                    moment_function, moment_function_deriv)
+                    mean_se, moment_function, moment_function_deriv)
 from .engine import DEFAULT_BUDGET, generation_frontier
 
 _MASS_TOL = 1e-10
@@ -67,11 +67,9 @@ def make_tilted(model, alpha):
     Raises
     ------
     TiltError
-        Wrong coupling, unsupported family, or total mass off 1 by
-        more than 1e-10 (alpha is not the root).
+        Unsupported family, or total mass off 1 by more than 1e-10
+        (alpha is not the root).
     """
-    if model.coupling != "iid-independent":
-        raise TiltError("tilting is defined for the iid-independent coupling")
     if alpha <= 0:
         raise TiltError("alpha must be positive")
     total = moment_function(model, alpha).value
@@ -204,8 +202,7 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
     masses = np.bincount(owner, powered, minlength=reps)
     contributions = np.bincount(owner, powered * g_fn(np.log(pi)),
                                 minlength=reps)
-    lhs = float(contributions.mean())
-    lhs_se = float(contributions.std(ddof=1) / math.sqrt(reps))
+    lhs, lhs_se = mean_se(contributions)
     heavy = dominance_ratio(masses) > 0.05
 
     if g == "constant-1":
@@ -214,9 +211,7 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
         rhs_method = "closed-form"
     else:
         walks = tilted.sample(rng, (reps, n)).sum(axis=1)
-        g_vals = g_fn(walks)
-        rhs = float(g_vals.mean())
-        rhs_se = float(g_vals.std(ddof=1) / math.sqrt(reps))
+        rhs, rhs_se = mean_se(g_fn(walks))
         rhs_method = "monte-carlo"
 
     agree = abs(lhs - rhs) <= 3.0 * math.hypot(lhs_se, rhs_se)

@@ -10,9 +10,9 @@ from branchtail.cramer import (
     check_conditions,
     solve_alpha,
 )
-from branchtail.model import make_model, moment_function
+from branchtail.model import make_model, moment_function, reduce_to_parents
 
-from conftest import ALPHA_UNIFORM, MU_A, MU_B, model_b_spec
+from conftest import ALPHA_UNIFORM, MU_A, MU_B, model_a_spec, model_b_spec
 
 
 def det(value):
@@ -96,6 +96,48 @@ def test_conditions_arithmetic_weight_fails():
     rep = check_conditions(m, sol, "linear")
     assert rep.entry("nonarithmetic").status == "fail"
     assert not rep.overall_pass
+
+
+def _first_epsilon_condition(model, alpha, epsilon):
+    # the epsilon entry's Monte Carlo branch as first written in cramer
+    rng = np.random.default_rng(0x5EEDC04D)
+    reps = 200_000
+    counts, weights = model.draw_offspring(rng, reps)
+    inner = reduce_to_parents(np.add, counts, weights ** (alpha / (1 + epsilon)))
+    powered = inner ** (1 + epsilon)
+    return (float(powered.mean()),
+            float(powered.std(ddof=1) / math.sqrt(reps)))
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 0.5])
+@pytest.mark.parametrize("alpha", [0.8, 1.0])
+@pytest.mark.parametrize("spec", [
+    model_a_spec(),
+    {"n": {"family": "poisson", "mean": 1.5}, "c": {"family": "uniform", "b": 0.8},
+     "q": det(1.0)},
+], ids=["model_a", "poisson-uniform"])
+def test_epsilon_entry_is_the_shared_sum_moment_estimate(spec, alpha, epsilon):
+    m = make_model(spec)
+    sol = CramerSolution(alpha, 1.0, 0.0, "unique-root", (0.1, 8.0))
+    entry = check_conditions(m, sol, "linear", epsilon=epsilon).entry(
+        "moment-condition-eps")
+    value, se = _first_epsilon_condition(m, alpha, epsilon)
+    assert (entry.value.hex(), entry.std_error.hex()) == (value.hex(), se.hex())
+    assert "monte-carlo" in entry.evidence
+    assert entry.status == "pass"
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 0.5])
+def test_epsilon_entry_closed_form_for_deterministic_laws(epsilon):
+    # N = 2, C = 1/2 at alpha = 1: (2 * 2^(-1/(1+eps)))^(1+eps) = 2^eps
+    m = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
+    sol = CramerSolution(1.0, -0.693, 0.0, "unique-root", (0.5, 2.0))
+    entry = check_conditions(m, sol, "linear", epsilon=epsilon).entry(
+        "moment-condition-eps")
+    assert "closed-form" in entry.evidence
+    assert entry.std_error == 0.0
+    assert entry.value == pytest.approx(2.0 ** epsilon, rel=1e-15)
+    assert entry.status == "pass"
 
 
 def test_conditions_model_a_homogeneous(model_a):

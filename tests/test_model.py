@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from branchtail.model import (
     ModelError,
     make_model,
+    mean_se,
     moment_function,
     moment_function_deriv,
     moment_function_mc,
@@ -204,6 +205,15 @@ def test_moment_function_mc_matches_closed_form(model_a, model_b):
         mc = moment_function_mc(m, t, 400_000, rng)
         assert mc.method == "monte-carlo" and mc.std_error > 0
         assert abs(mc.value - closed) < 3 * mc.std_error
+
+
+def test_mean_se_is_the_iid_rule():
+    x = np.array([1.0, 2.0, 4.0, 8.0])
+    mean, se = mean_se(x)
+    assert mean == 3.75
+    assert se == x.std(ddof=1) / 2.0
+    # one sample: the mean itself, and no spread to report
+    assert mean_se(np.array([2.5])) == (2.5, 0.0)
 
 
 def test_sum_moment_closed_form_small_counts(model_b):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchtail.engine import run_batch
-from branchtail.model import make_model
+from branchtail.engine import run_batch, truncation_bound
+from branchtail.model import MomentValue, make_model, moment_function, sum_moment
 from branchtail.moments import (
     BoundError,
     constructive_constant,
@@ -18,7 +18,8 @@ from branchtail.moments import (
     verify_sum_inequality,
 )
 
-from conftest import K2_B03, K15_B03, RHO_2_B03, RHO_15_B03, RHO_HALF_B09
+from conftest import (K2_B03, K15_B03, RHO_2_B03, RHO_15_B03, RHO_HALF_B09,
+                      model_b_spec)
 
 
 def det(value):
@@ -78,6 +79,118 @@ def test_constructive_constant_diverges_without_contraction(model_a, model_b):
     assert constructive_constant(model_a, 2.0).diverged
     # the calibrated subcritical model has mean ratio exactly 1
     assert constructive_constant(model_b, 2.0).diverged
+
+
+# The first form of the constant: integer orders by their own induction,
+# then one fractional step; and the truncation bound written out per branch.
+# The single induction must reproduce it bit for bit.
+
+
+def _first_k_integer(model, p, rng=None):
+    k = model.q_mean()
+    method = "closed-form"
+    suspect = False
+    rho = moment_function(model, 1.0).value
+    for step in range(2, p + 1):
+        rho_p = moment_function(model, float(step)).value
+        eta = max(rho_p, rho)
+        if not contractive(eta):
+            return MomentValue(math.inf, method, diverged=True)
+        csum = sum_moment(model, float(step), rng=rng)
+        if csum.method == "monte-carlo":
+            method = "monte-carlo"
+            suspect = suspect or csum.suspect
+        big_k = csum.value * k ** (step / (step - 1.0))
+        series = 1.0 / (1.0 - eta ** (1.0 / (step - 1.0)))
+        k = model.q_moment(float(step)) + big_k / eta * series
+    return MomentValue(k, method, suspect=suspect)
+
+
+def _first_constructive_constant(model, beta, rng=None):
+    p = math.ceil(beta)
+    if p == beta:
+        return _first_k_integer(model, int(beta), rng=rng)
+    base = _first_k_integer(model, p - 1, rng=rng)
+    if base.diverged:
+        return base
+    rho = moment_function(model, 1.0).value
+    rho_beta = moment_function(model, beta).value
+    eta = max(rho, rho_beta)
+    if not contractive(eta):
+        return MomentValue(math.inf, base.method, diverged=True)
+    gamma = beta / (p - 1.0)
+    csum = sum_moment(model, beta, rng=rng)
+    method = base.method
+    suspect = base.suspect
+    if csum.method == "monte-carlo":
+        method = "monte-carlo"
+        suspect = suspect or csum.suspect
+    big_k = csum.value * base.value ** (beta / (p - 1.0))
+    series = 1.0 / (1.0 - eta ** (gamma - 1.0))
+    value = model.q_moment(beta) + big_k / eta * series
+    return MomentValue(value, method, suspect=suspect)
+
+
+def _first_truncation_bound(model, beta, depth, rng=None):
+    rho_beta = moment_function(model, float(beta)).value
+    if beta <= 1.0:
+        if not contractive(rho_beta):
+            return math.inf
+        return (model.q_moment(float(beta)) * rho_beta ** (depth + 1)
+                / (1.0 - rho_beta))
+    rho = moment_function(model, 1.0).value
+    eta = max(rho, rho_beta)
+    if not contractive(eta):
+        return math.inf
+    k_beta = _first_constructive_constant(model, beta, rng=rng)
+    if k_beta.diverged:
+        return math.inf
+    return (k_beta.value * eta ** (depth + 1)
+            / (1.0 - eta ** (1.0 / beta)) ** beta)
+
+
+_PIN_MODELS = {
+    # closed-form sum moments (N <= 1)
+    "b03": model_b_spec(0.3),
+    # E[(sum C)^x] by Monte Carlo, contractive at every order up to 4
+    "poisson-uniform": {"n": {"family": "poisson", "mean": 2.0},
+                        "c": {"family": "uniform", "b": 0.4},
+                        "q": {"family": "uniform", "b": 1.0}},
+    # rho = 1.5: no order contracts
+    "noncontractive": {"n": {"family": "poisson", "mean": 3.0},
+                       "c": {"family": "uniform", "b": 1.0},
+                       "q": det(1.0)},
+}
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0])
+@pytest.mark.parametrize("name", sorted(_PIN_MODELS))
+def test_single_induction_matches_the_first_form_bit_for_bit(name, beta):
+    m = make_model(_PIN_MODELS[name])
+
+    def fields(k):
+        return k.value.hex(), k.method, k.diverged, k.suspect
+
+    k = constructive_constant(m, beta, rng=np.random.default_rng(17))
+    ref = _first_constructive_constant(m, beta, rng=np.random.default_rng(17))
+    assert fields(k) == fields(ref)
+    mc = name == "poisson-uniform" and beta > 1.0
+    assert k.method == ("monte-carlo" if mc else "closed-form")
+    if name != "b03":
+        assert k.diverged == (name == "noncontractive" and beta > 1.0)
+    for depth in (0, 3, 20):
+        got = truncation_bound(m, beta, depth, rng=np.random.default_rng(17))
+        want = _first_truncation_bound(m, beta, depth,
+                                       rng=np.random.default_rng(17))
+        assert got.hex() == want.hex()
+        if beta > 1.0:
+            bound = generation_moment_bound(m, beta, depth,
+                                            rng=np.random.default_rng(17))
+            eta = max(moment_function(m, 1.0).value,
+                      moment_function(m, beta).value)
+            want = ref.value * eta ** depth if not ref.diverged else math.inf
+            assert (bound.value.hex(), bound.diverged, bound.suspect) == (
+                want.hex(), ref.diverged, ref.suspect)
 
 
 def test_constructive_constant_rejects_small_exponent(model_b03):
