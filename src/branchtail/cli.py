@@ -84,7 +84,6 @@ DEFAULTS = {
         "iterate_depth": 12,
         "iterate_starts": [0.0, 100.0],
         "iterate_reps": 20_000,
-        "corrupt_bound_self_test": False,
     },
 }
 
@@ -510,15 +509,13 @@ def _verify_iteration(config, model, rng):
 
 def cmd_verify(config, corrupt_bound_self_test=False):
     model = make_model(config["model"])
-    corrupt = corrupt_bound_self_test or (
-        config["verify"]["corrupt_bound_self_test"])
     # one generator per check: renewal keeps the seed's own stream
     grid_rng, iterate_rng = map(np.random.default_rng,
                                 np.random.SeedSequence(config["seed"]).spawn(2))
     checks = _verify_renewal(config, model,
                              np.random.default_rng(config["seed"]))
     checks.extend(_verify_moment_grid(config, model, grid_rng,
-                                      corrupt=corrupt))
+                                      corrupt=corrupt_bound_self_test))
     checks.extend(_verify_iteration(config, model, iterate_rng))
     flags = [c.get("holds", c.get("agree")) for c in checks]
     verdicts = [f for f in flags if f is not None]
@@ -584,6 +581,9 @@ def main(argv=None):
             config, corrupt_bound_self_test=args.corrupt_bound_self_test)
     except (ModelError, EngineError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .model import (ModelError, MomentValue, dominance_ratio,
-                    reduce_to_parents, resample_children, sum_moment)
-from .moments import estimate_moment, fixed_point_mean_exact, jackknife_mean_se
+                    reduce_to_parents, resample_children)
+from .moments import (_sum_interpolation_bound, fixed_point_mean_exact,
+                      jackknife_mean_se)
 
 _MC_SEED = 0x7C057A17
 _MIN_BATCH = 100_000
@@ -192,11 +193,9 @@ def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
             upper = toll_bound
     elif kind == "homogeneous-martingale":
         if _alpha_integer(alpha) is None and r_batch is not None:
-            p = math.ceil(alpha)
-            r_moment = estimate_moment(r_batch, float(p - 1))
-            csum = sum_moment(model, alpha, rng=rng)
-            upper = (r_moment.value ** (alpha / (p - 1.0))
-                     * csum.value / (alpha * mu))
+            r_values = getattr(r_batch, "values", r_batch)
+            upper = (_sum_interpolation_bound(model, alpha, r_values, rng)
+                     / (alpha * mu))
     else:
         raise ConstantError(f"unknown recursion kind {kind!r}")
     return lower, upper

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    DeterministicValue,
     ModelError,
     _power_sum_moment,
     moment_function,
@@ -103,10 +102,14 @@ class ConditionReport:
 def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
     """Locate alpha with moment_function(model, alpha) = 1, derivative > 0.
 
-    Bisection to a narrow interval followed by bracket-safeguarded Newton
-    refinement.  If the bracket does not straddle 1 but the model sits at
-    the critical pattern (moment function equal to 1 at theta = 1), the
-    search is restricted to theta > 1 for the second root of the pair.
+    Bisection on the sign of the moment function minus 1, halving the
+    bracket until no double lies strictly between its ends; alpha is the
+    end with the smaller residual, so it is resolved to the last bit.
+    ``tol`` is the largest residual |moment_function(alpha) - 1| accepted.
+    If the bracket does not
+    straddle 1 but the model sits at the critical pattern (moment function
+    equal to 1 at theta = 1), the search is restricted to theta > 1 for
+    the second root of the pair.
 
     Raises
     ------
@@ -114,6 +117,8 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
         Neither a straddling bracket nor the critical pattern is present.
     ContractionRootError
         The root exists but the derivative there is nonpositive.
+    SolverError
+        Invalid bracket or tol, or the best double's residual exceeds tol.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0 < lo < hi):
@@ -128,9 +133,9 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
     f_probe = f(1.0)
     critical = abs(f_probe) <= _CRITICAL_TOL and lo < 1.0 < hi
     if flo == 0.0:
-        root = lo
+        root, residual = lo, 0.0
     elif fhi == 0.0:
-        root = hi
+        root, residual = hi, 0.0
     else:
         if flo * fhi > 0:
             # no straddle; a critical pair still admits a second root above 1
@@ -141,13 +146,11 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
                 )
             lo = _first_negative_above_one(f, hi)
             flo = f(lo)
-        root = _bisect_then_newton(model, f, lo, hi, flo, tol)
-
-    residual = abs(f(root))
-    # theta = 1 was probed exactly; keep that evaluation over a newton
-    # iterate that converged to 1 but stopped a few ulps short of it
-    if abs(root - 1.0) <= 1e-6 and abs(f_probe) < residual:
-        root, residual = 1.0, abs(f_probe)
+        root, residual = _bisect(f, lo, hi, flo, fhi)
+        if residual > tol:
+            raise SolverError(
+                f"no double within tol of the root: residual {residual:.3g} "
+                f"at alpha = {root!r}")
     mu = moment_function_deriv(model, root).value
     if mu <= 0:
         raise ContractionRootError(root, mu, residual)
@@ -173,52 +176,23 @@ def _first_negative_above_one(f, hi):
     raise NoSignChangeError("critical pattern detected but no dip below 1 above theta = 1")
 
 
-def _bisect_then_newton(model, f, lo, hi, flo, tol):
-    # bisection to a short interval keeps Newton's starting point honest
-    for _ in range(40):
+def _bisect(f, lo, hi, flo, fhi):
+    """Halve a sign change of f until its ends are adjacent doubles.
+
+    Returns the end with the smaller |f|, and that |f|.
+    """
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         fm = f(mid)
         if fm == 0.0:
-            return mid
+            return mid, 0.0
         if (fm < 0) == (flo < 0):
             lo, flo = mid, fm
         else:
-            hi = mid
-        if hi - lo < 1e-6:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x
-        d = moment_function_deriv(model, x).value
-        step_ok = d != 0.0 and math.isfinite(d)
-        if step_ok:
-            x_new = x - fx / d
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if (f(x_new) < 0) == (flo < 0):
-            lo = x_new
-        else:
-            hi = x_new
-        if x_new == x:
-            break
-        x = x_new
-    if abs(f(x)) > tol:
-        # fall back to machine-precision bisection
-        while hi - lo > np.finfo(float).eps * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if (f(mid) < 0) == (flo < 0):
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        if abs(f(x)) > tol:
-            raise SolverError(f"root refinement stalled at residual {abs(f(x)):.3g}")
-    return x
+            hi, fhi = mid, fm
+    return (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +220,9 @@ def check_conditions(model, sol, kind, epsilon=0.5):
     entries = []
     homogeneous = kind == "homogeneous-martingale"
 
-    # toll positivity / moments; the homogeneous kind carries unit marks
-    # when its toll law is fixed at zero, so evaluate the effective law.
-    q_law = model.q_law
-    if homogeneous and isinstance(q_law, DeterministicValue) and q_law.value == 0.0:
-        q_law = DeterministicValue(1.0)
+    # toll positivity / moments of the law the kind draws: the homogeneous
+    # kind marks its last generation instead of charging tolls
+    q_law = model.mark_law if homogeneous else model.q_law
     p_pos = q_law.prob_positive()
     entries.append(
         ConditionEntry(

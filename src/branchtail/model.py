@@ -438,12 +438,18 @@ class VectorModel:
     coupling: str = "iid-independent"
     c_scale: float = 1.0
     _fingerprint: str = field(default="", repr=False, compare=False)
+    # law of the martingale kind's final-generation marks: q_law, or unit
+    # marks when the toll is fixed at 0
+    mark_law: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coupling != "iid-independent":
             raise ModelError(f"unsupported coupling: {self.coupling!r}")
         if self.c_scale <= 0:
             raise ModelError("c_scale must be positive")
+        zero_toll = (isinstance(self.q_law, DeterministicValue)
+                     and self.q_law.value == 0.0)
+        self.mark_law = DeterministicValue(1.0) if zero_toll else self.q_law
 
     # -- sampling ----------------------------------------------------------
 
@@ -451,10 +457,8 @@ class VectorModel:
         return self.q_law.sample(rng, size)
 
     def draw_mark(self, rng, size):
-        """Final-generation marks: q_law, or unit marks when q is fixed at 0."""
-        if isinstance(self.q_law, DeterministicValue) and self.q_law.value == 0.0:
-            return np.ones(size)
-        return self.q_law.sample(rng, size)
+        """Final-generation marks, drawn from ``mark_law``."""
+        return self.mark_law.sample(rng, size)
 
     def draw_offspring(self, rng, size, limit=None):
         """Draw counts for ``size`` nodes, then all child weights flat.

@@ -178,12 +178,26 @@ def generation_moment_bound(model, beta, n, rng=None):
                        k_beta.std_error, suspect=k_beta.suspect)
 
 
+def _sum_interpolation_bound(model, beta, y_values, rng=None):
+    """Bound on E[(sum C_i Y_i)^beta - sum (C_i Y_i)^beta], Y iid, Y >= 0.
+
+    (E[Y^(p-1)])^(beta/(p-1)) * E[(sum C)^beta] with p = ceil(beta) and
+    E[Y^(p-1)] the mean over ``y_values``; only for beta > 1.  ``rng`` is
+    needed only when E[(sum C)^beta] has no closed form.
+    """
+    if beta <= 1.0:
+        raise BoundError("the sum inequality applies for beta > 1")
+    p = math.ceil(beta)
+    y_moment = float(np.mean(np.asarray(y_values, dtype=float) ** (p - 1)))
+    csum = sum_moment(model, beta, rng=rng)
+    return y_moment ** (beta / (p - 1.0)) * csum.value
+
+
 def verify_sum_inequality(model, beta, y_values, reps, rng):
     """Check E[(sum C_i Y_i)^beta - sum (C_i Y_i)^beta] <= bound by MC.
 
-    The bound is (E[Y^(p-1)])^(beta/(p-1)) * E[(sum C)^beta] with
-    p = ceil(beta), Y drawn independently of (N, C).  Y is resampled
-    with replacement from ``y_values``.
+    The bound is ``_sum_interpolation_bound``.  Y is resampled with
+    replacement from ``y_values``.
 
     Parameters
     ----------
@@ -200,21 +214,16 @@ def verify_sum_inequality(model, beta, y_values, reps, rng):
     -------
     MomentReport
     """
-    if beta <= 1.0:
-        raise BoundError("the sum inequality applies for beta > 1")
     y = np.asarray(y_values, dtype=float)
     if y.size == 0:
         raise BoundError("y_values must be nonempty")
     if reps < 2:
         raise BoundError("reps must be >= 2")
-    p = math.ceil(beta)
     counts, terms = resample_children(model, y, reps, rng)
     lhs_samples = (reduce_to_parents(np.add, counts, terms) ** beta
                    - reduce_to_parents(np.add, counts, terms ** beta))
     estimate, se = mean_se(lhs_samples)
-    y_moment = float(np.mean(y ** (p - 1)))
-    csum = sum_moment(model, beta, rng=rng)
-    bound = y_moment ** (beta / (p - 1.0)) * csum.value
+    bound = _sum_interpolation_bound(model, beta, y, rng)
     return make_report("weighted-sum", beta, estimate, se, bound,
                        "sum-interpolation")
 

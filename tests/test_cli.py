@@ -17,7 +17,7 @@ from branchtail.cli import (DEFAULTS, ConfigError, _iterate_forest,
                             _martingale_forest, load_config, main)
 from branchtail.engine import (DEFAULT_BUDGET, iterate_from, run_batch,
                                truncation_bound)
-from branchtail.model import make_model
+from branchtail.model import VectorModel, make_model
 
 from conftest import model_a_spec, model_b_spec, uniform_model_spec
 
@@ -272,6 +272,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "solver.tol=.inf", "solve-alpha"], None),
     (["--set", "solver.tol=0.0", "solve-alpha"], None),
     (["--set", "verify.iterate_reps=1", "verify"], None),
+    # the self-test is the verify flag's alone
+    (["--set", "verify.corrupt_bound_self_test=true", "verify"], None),
     (["--set", "tails.bootstrap=1", "solve-alpha"], None),
     (["--set", "tails.bootstrap=-1", "solve-alpha"], None),
     (["--seed", "-1", "verify"], None),
@@ -309,8 +311,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
 ], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
         "float-list-word", "float-list-short", "set-section", "kind-word",
         "float-list-nan", "float-nan", "threshold-nan", "tol-nan", "tol-inf",
-        "tol-zero", "verify-reps-one", "bootstrap-one", "bootstrap-negative",
-        "seed-negative",
+        "tol-zero", "verify-reps-one", "self-test-leaf", "bootstrap-one",
+        "bootstrap-negative", "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
         "renewal-n-zero", "renewal-n-five", "model-scale-word",
         "model-mean-inf", "model-bound-inf", "model-mean-huge",
@@ -582,6 +584,19 @@ def test_verify_exits_one_when_every_tree_outgrows_the_budget(
     assert main(["--config", path, "verify"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: all {reps} replications exceeded the node budget 1\n"
+
+
+def test_verify_out_of_memory_exits_one_in_one_line(tmp_path, capsys,
+                                                    monkeypatch):
+    # stands in for a count law whose first generation cannot be allocated
+    def out_of_memory(self, rng, size, limit=None):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(VectorModel, "draw_offspring", out_of_memory)
+    path = quick_verify_config(tmp_path)
+    assert main(["--config", path, "verify"]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 14.6 TiB for an array\n")
 
 
 def test_forest_w_n_has_the_martingale_law(model_a):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchtail.cramer import (
     ContractionRootError,
@@ -72,6 +73,37 @@ def test_scale_equivariance(model_b):
         assert s ** sol.alpha * moment_function(model_b, sol.alpha).value == pytest.approx(
             1.0, abs=1e-10
         )
+
+
+def _assert_best_double(model, alpha):
+    def residual(theta):
+        return abs(moment_function(model, theta).value - 1.0)
+
+    here = residual(alpha)
+    assert here <= residual(np.nextafter(alpha, 0.0))
+    assert here <= residual(np.nextafter(alpha, np.inf))
+
+
+@pytest.mark.parametrize("name", ["model_a", "model_b", "model_b09",
+                                  "model_b03"])
+def test_alpha_is_the_best_double(request, name):
+    model = request.getfixturevalue(name)
+    sol = solve_alpha(model)
+    _assert_best_double(model, sol.alpha)
+    assert sol.residual == abs(moment_function(model, sol.alpha).value - 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.2, 2.0))
+def test_alpha_is_the_best_double_across_weight_scales(c_scale):
+    model = make_model(model_b_spec(c_scale))
+    _assert_best_double(model, solve_alpha(model).alpha)
+
+
+def test_alpha_bits_do_not_depend_on_the_bracket(model_b09):
+    alphas = {solve_alpha(model_b09, bracket=b).alpha.hex()
+              for b in [(0.1, 8.0), (0.5, 2.0), (1.05, 1.2)]}
+    assert len(alphas) == 1
 
 
 def test_mu_matches_deriv_code_path(model_a):
