@@ -319,6 +319,13 @@ def _precheck(config, model):
 
 def cmd_simulate(config, force=False):
     model = make_model(config["model"])
+    if (config["depth"] is None and model.n_law.prob_zero() > 0.0
+            and model.n_law.mean() >= 1.0):
+        # a tree that need not end grows to the node budget (10^7 nodes by
+        # default); run_batch still takes such a law from a caller who
+        # bounds each tree with a small budget
+        raise EngineError(
+            "exact mode needs E[N] < 1 so the expected tree size is finite")
     if not force:
         problem = _precheck(config, model)
         if problem is not None:

@@ -170,8 +170,9 @@ def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
     (Q v max_i x_i)^alpha <= Q^alpha + sum_i x_i^alpha.  Max-plus kind:
     an upper bound when alpha <= 1, since (Q + max_i x_i)^alpha <=
     Q^alpha + max_i x_i^alpha there; above 1 no bound.  For the
-    martingale kind with non-integer alpha, an upper bound uses the
-    (p-1)-th fixed-point moment estimated from a batch, p = ceil(alpha).
+    martingale kind with non-integer alpha > 1, an upper bound uses the
+    (p-1)-th fixed-point moment estimated from a batch, p = ceil(alpha);
+    below 1 there is no such moment (p - 1 = 0) and no bound.
 
     Returns
     -------
@@ -192,7 +193,8 @@ def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
         if alpha <= 1.0 + _INTEGER_TOL:
             upper = toll_bound
     elif kind == "homogeneous-martingale":
-        if _alpha_integer(alpha) is None and r_batch is not None:
+        if (alpha > 1.0 and _alpha_integer(alpha) is None
+                and r_batch is not None):
             r_values = getattr(r_batch, "values", r_batch)
             upper = (_sum_interpolation_bound(model, alpha, r_values, rng)
                      / (alpha * mu))

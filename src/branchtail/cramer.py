@@ -179,7 +179,11 @@ def _first_negative_above_one(f, hi):
 def _bisect(f, lo, hi, flo, fhi):
     """Halve a sign change of f until its ends are adjacent doubles.
 
-    Returns the end with the smaller |f|, and that |f|.
+    Takes the end with the smaller |f|, then steps to a neighbouring
+    double while that has a strictly smaller |f|: near the root the
+    computed f need not be monotone at the scale of one ulp, so the best
+    double can lie just outside the last sign change.  Returns that
+    double and its |f|.
     """
     while True:
         mid = 0.5 * (lo + hi)
@@ -192,7 +196,15 @@ def _bisect(f, lo, hi, flo, fhi):
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    return (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
+    best, residual = (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
+    for direction in (-math.inf, math.inf):
+        while residual > 0.0:
+            step = float(np.nextafter(best, direction))
+            r_step = abs(f(step))
+            if not r_step < residual:
+                break
+            best, residual = step, r_step
+    return best, residual
 
 
 # ---------------------------------------------------------------------------

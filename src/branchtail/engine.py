@@ -343,7 +343,10 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
     The output is a deterministic function of (model, kind, depth, reps,
     budget, seed): replication i derives its stream from (seed, i), so
     the worker count changes wall time only.  Raises when every
-    replication hits the budget.
+    replication hits the budget.  Exact mode (``depth`` None) needs
+    P(N = 0) > 0; with E[N] >= 1 the expected tree size is infinite, so
+    only the budget bounds a replication and only a small budget keeps
+    the run cheap (the CLI refuses such a law in exact mode).
     """
     _validate_kind(model, kind)
     depth = _validate_depth(model, depth)

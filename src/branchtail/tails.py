@@ -8,6 +8,12 @@ t^alpha * P(value > t) over a high-quantile window.  Both are
 finite-sample diagnostics, so every estimate ships with its standard
 error and the report carries drift and depth-stability flags rather
 than asymptotic guarantees.
+
+The plateau's error comes from a bootstrap of the replications that
+redraws only the values above the window's lowest point: their number
+is binomial and, given it, they are uniform picks among those values,
+which is the law a full redraw of the sample gives them.  ``tail_report``
+sorts the batch once and hands that order to every estimator.
 """
 
 import math
@@ -127,8 +133,12 @@ def survival_points(batch, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.size and np.any(np.diff(grid) < 0):
         raise TailError("threshold grid must be sorted ascending")
-    ordered = np.sort(values)
-    n = values.size
+    return _survival_sorted(np.sort(values), grid)
+
+
+def _survival_sorted(ordered, grid):
+    """survival_points over values already sorted ascending."""
+    n = ordered.size
     exceed = n - np.searchsorted(ordered, grid, side="right")
     out = []
     for t, count in zip(grid, exceed):
@@ -183,15 +193,18 @@ def hill_sweep(batch, points=_SWEEP_POINTS):
     errors; distributions with lighter tails drift systematically (the
     local index grows with the threshold), which this detects.
     """
-    values = _values_of(batch)
-    n = values.size
+    return _sweep_descending(np.sort(_values_of(batch))[::-1], points)
+
+
+def _sweep_descending(ordered, points):
+    """hill_sweep over values already sorted in descending order."""
+    n = ordered.size
     k_ref = default_tail_count(n)
     k_lo = max(50, int(round(n ** 0.35)))
     k_hi = max(k_lo + 1, min(n - 1, int(round(n ** 0.75))))
     if k_lo >= n:
         raise TailError("too few values for a tail-count sweep")
     ks = np.unique(np.geomspace(k_lo, k_hi, points).astype(np.int64))
-    ordered = np.sort(values)[::-1]
     rows = []
     estimates = []
     for k in ks:
@@ -210,13 +223,15 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
 
     The window holds the order statistics between the two quantiles of
     ``quantile_band``; each gives one plateau point.  Confidence limits
-    come from bootstrap resampling of replications, implemented as a
-    multinomial redraw of the window's bin counts so each resample costs
-    only the window size.  Resamples are drawn a fixed block of rows at
-    a time and reduced to their medians at once, so memory holds one
-    block of window-sized rows whatever ``bootstrap`` is; a stacked
-    multinomial draw equals its blocks drawn in turn, so the result does
-    not depend on the block size.
+    come from bootstrap resampling of replications.  Only redraws above
+    the window's lowest point change an exceedance, so a resample draws
+    just those: their number M is Binomial(n, n_top / n), with n_top the
+    values above that point, and given M they are M uniform picks among
+    those n_top values -- the law of the full redraw's bins above it.
+    Each resample's picks come from one call of their own on the stream,
+    and resamples are reduced to their medians a fixed block of rows at
+    a time, so memory holds one block of window-sized rows whatever
+    ``bootstrap`` is and the result does not depend on the block size.
 
     Parameters
     ----------
@@ -237,13 +252,23 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
         When fewer than 50 window points are available.
     """
     values = _values_of(batch)
+    _check_plateau_args(alpha, quantile_band)
+    return _plateau_sorted(np.sort(values), alpha, quantile_band, bootstrap,
+                           rng)
+
+
+def _check_plateau_args(alpha, quantile_band):
     if not alpha > 0:
         raise TailError("alpha must be positive")
     q_lo, q_hi = quantile_band
     if not (0.9 < q_lo < q_hi < 0.9999):
         raise TailError("quantile band must be increasing within (0.9, 0.9999)")
-    ordered = np.sort(values)
-    n = values.size
+
+
+def _plateau_sorted(ordered, alpha, quantile_band, bootstrap, rng):
+    """plateau_constant over values already sorted ascending."""
+    q_lo, q_hi = quantile_band
+    n = ordered.size
     i_lo = int(math.floor(q_lo * n))
     i_hi = int(math.ceil(q_hi * n))
     window = ordered[i_lo:i_hi]
@@ -261,20 +286,36 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
                                int(grid.size))
     if rng is None:
         rng = np.random.default_rng(_PLATEAU_SEED)
-    # bin the sample by the grid: counts below, between grid points, above
-    edges = np.searchsorted(ordered, grid, side="right")
-    bin_share = np.diff(np.concatenate(([0], edges, [n]))) / n
-    boot = np.empty(bootstrap)
-    for first in range(0, bootstrap, _BOOTSTRAP_BLOCK):
-        rows = boot[first:first + _BOOTSTRAP_BLOCK]
-        draws = rng.multinomial(n, bin_share, size=rows.size)
-        # exceedance of grid[i] = everything in bins strictly above it
-        upper = draws[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
-        np.median(powers * upper / n, axis=1, out=rows)
+    boot = np.concatenate([
+        np.median(powers * upper / n, axis=1)
+        for upper in _resampled_exceedances(ordered, grid, bootstrap, rng)])
     lo, hi = np.quantile(boot, [0.025, 0.975])
     se = float(boot.std(ddof=1))
     return PlateauEstimate(h, se, float(lo), float(hi),
                            float(grid[0]), float(grid[-1]), int(grid.size))
+
+
+def _resampled_exceedances(ordered, grid, resamples, rng):
+    """Exceedance counts of ``grid`` in bootstrap resamples of ``ordered``.
+
+    Yields blocks of at most ``_BOOTSTRAP_BLOCK`` rows, one row per
+    resample and one column per grid point (``grid`` ascending and
+    unique).  Only the redraws above grid[0] are drawn, as the
+    ``plateau_constant`` docstring describes.
+    """
+    n = ordered.size
+    top = ordered[np.searchsorted(ordered, grid[0], side="right"):]
+    # bin j holds the values in (grid[j], grid[j + 1]] (the last bin: above
+    # grid[-1]), so the exceedance of grid[i] sums the bins from i up
+    bin_of = np.searchsorted(grid, top, side="left") - 1
+    picked = rng.binomial(n, top.size / n, size=resamples)
+    for first in range(0, resamples, _BOOTSTRAP_BLOCK):
+        block = picked[first:first + _BOOTSTRAP_BLOCK]
+        bins = np.concatenate(
+            [bin_of[rng.integers(top.size, size=m)] + row * grid.size
+             if m else bin_of[:0] for row, m in enumerate(block)])
+        counts = np.bincount(bins, minlength=block.size * grid.size)
+        yield counts.reshape(block.size, -1)[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def ks_distance(a, b):
@@ -317,11 +358,15 @@ def stability_diagnostic(batch_low, batch_high, threshold=DEFAULT_KS_THRESHOLD):
 
 def default_survival_grid(values, points=40):
     """Geometric threshold grid from the median to the 0.9995 quantile."""
-    positive = values[values > 0]
+    return _grid_sorted(np.sort(values), points)
+
+
+def _grid_sorted(ordered, points=40):
+    """default_survival_grid over values already sorted ascending."""
+    positive = ordered[np.searchsorted(ordered, 0.0, side="right"):]
     if positive.size < 2:
         raise TailError("need positive values for a survival grid")
-    lo = float(np.quantile(positive, 0.5))
-    hi = float(np.quantile(positive, 0.9995))
+    lo, hi = (float(q) for q in np.quantile(positive, [0.5, 0.9995]))
     if not lo < hi:
         raise TailError("degenerate survival grid")
     return np.geomspace(lo, hi, points)
@@ -334,14 +379,19 @@ def tail_report(batch, alpha=None, k=None, quantile_band=DEFAULT_QUANTILE_BAND,
 
     ``alpha`` fixes the plateau exponent; by default the Hill estimate
     is used.  ``stability_batch`` adds the depth-convergence KS check.
+    The values are sorted once and every estimator reads that order.
     """
     values = _values_of(batch)
-    hill = hill_estimator(values, k if k is not None else
-                          default_tail_count(values.size))
-    sweep, drift_flag = hill_sweep(values)
-    plateau = plateau_constant(values, alpha if alpha is not None else hill.alpha,
-                               quantile_band, bootstrap, rng=rng)
-    survival = survival_points(values, default_survival_grid(values))
+    ordered = np.sort(values)
+    descending = ordered[::-1]
+    hill = _hill_descending(descending, k if k is not None else
+                            default_tail_count(values.size))
+    sweep, drift_flag = _sweep_descending(descending, _SWEEP_POINTS)
+    plateau_alpha = alpha if alpha is not None else hill.alpha
+    _check_plateau_args(plateau_alpha, quantile_band)
+    plateau = _plateau_sorted(ordered, plateau_alpha, quantile_band, bootstrap,
+                              rng)
+    survival = _survival_sorted(ordered, _grid_sorted(ordered))
     stability = None
     if stability_batch is not None:
         stability = stability_diagnostic(batch, stability_batch, ks_threshold)

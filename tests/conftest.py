@@ -39,6 +39,15 @@ def model_b_spec(c_scale=1.0):
     return spec
 
 
+def poisson2_spec():
+    # supercritical Poisson(2) counts; alpha = 0.9408 on the bracket [0.5, 4]
+    return {
+        "n": {"family": "poisson", "mean": 2.0},
+        "c": {"family": "lognormal", "mu": -4.5, "sigma2": 8.0},
+        "q": {"family": "deterministic", "value": 1.0},
+    }
+
+
 def uniform_model_spec():
     return {
         "n": {"family": "deterministic", "value": 3},

@@ -19,7 +19,8 @@ from branchtail.engine import (DEFAULT_BUDGET, iterate_from, run_batch,
                                truncation_bound)
 from branchtail.model import VectorModel, make_model
 
-from conftest import model_a_spec, model_b_spec, uniform_model_spec
+from conftest import (model_a_spec, model_b_spec, poisson2_spec,
+                      uniform_model_spec)
 
 
 def write_config(tmp_path, spec, name="config.yaml", **top_level):
@@ -198,6 +199,22 @@ def test_simulate_missing_model_exits_one(tmp_path, capsys):
     assert "model section" in capsys.readouterr().err
 
 
+def test_simulate_exact_refuses_supercritical_counts(tmp_path, capsys):
+    path = write_config(tmp_path, poisson2_spec(), budget=1_000, reps=50,
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "--depth", "exact", "simulate",
+                 "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "E[N] < 1" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "batch.csv").exists()
+    # a law that never ends a tree keeps its own message
+    path = write_config(tmp_path, uniform_model_spec(), "u.yaml",
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "--depth", "exact", "simulate",
+                 "--force"]) == 1
+    assert "terminate" in capsys.readouterr().err
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("BRANCHTAIL_OUTPUT_DIR", str(tmp_path / "env_out"))
     path = write_config(tmp_path, model_b_spec(0.9), reps=200, depth=5)
@@ -243,6 +260,21 @@ def test_analyze_rejects_model_mismatch(analyzed, tmp_path, capsys):
     assert main(["--config", path, "analyze", "--batch",
                  str(out / "batch.csv")]) == 1
     assert "different model" in capsys.readouterr().err
+
+
+def test_analyze_martingale_below_one_has_no_upper_bound(tmp_path):
+    # alpha = 0.94 < 1: no (p - 1)-th moment for the martingale bound
+    path = write_config(tmp_path, poisson2_spec(),
+                        kind="homogeneous-martingale", depth=6, reps=8_000,
+                        seed=3, solver={"bracket": [0.5, 4.0]},
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "simulate", "--force"]) == 0
+    assert main(["--config", path, "analyze", "--batch",
+                 str(tmp_path / "out" / "batch.csv")]) == 0
+    constant = read_json(tmp_path / "out" / "constant_report.json")
+    assert constant["available"] is True
+    assert 0.9 < constant["alpha"] < 1.0
+    assert constant["upper_bound"] is None
 
 
 def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):

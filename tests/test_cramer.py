@@ -100,6 +100,13 @@ def test_alpha_is_the_best_double_across_weight_scales(c_scale):
     _assert_best_double(model, solve_alpha(model).alpha)
 
 
+def test_alpha_steps_past_the_last_sign_change():
+    # the moment function is not monotone at one ulp here: the last sign
+    # change brackets [alpha, alpha + 1 ulp], the exact zero lies just below
+    model = make_model(model_b_spec(0.5148924767513678))
+    _assert_best_double(model, solve_alpha(model).alpha)
+
+
 def test_alpha_bits_do_not_depend_on_the_bracket(model_b09):
     alphas = {solve_alpha(model_b09, bracket=b).alpha.hex()
               for b in [(0.1, 8.0), (0.5, 2.0), (1.05, 1.2)]}

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
+from branchtail import tails
 from branchtail.engine import run_batch
 from branchtail.tails import (
-    DEFAULT_QUANTILE_BAND,
     TailError,
     default_survival_grid,
     default_tail_count,
@@ -151,34 +151,46 @@ def test_plateau_reproducible_without_rng():
         b.h, b.std_error, b.ci_low, b.ci_high)
 
 
-def one_shot_plateau(x, alpha, bootstrap, seed):
-    # every resample drawn in one multinomial, as a stacked bootstrap would
-    ordered = np.sort(x)
-    n = x.size
-    q_lo, q_hi = DEFAULT_QUANTILE_BAND
-    window = ordered[int(math.floor(q_lo * n)):int(math.ceil(q_hi * n))]
-    grid = np.unique(window[window > 0])
-    powers = grid ** alpha
-    edges = np.searchsorted(ordered, grid, side="right")
-    h = float(np.median(powers * (n - edges) / n))
-    bins = np.diff(np.concatenate(([0], edges, [n])))
-    draws = np.random.default_rng(seed).multinomial(n, bins / n, size=bootstrap)
-    upper = draws[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
-    boot = np.median(powers * upper / n, axis=1)
-    lo, hi = np.quantile(boot, [0.025, 0.975])
-    return h, float(boot.std(ddof=1)), float(lo), float(hi)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bootstrap", [200, 1])
-def test_plateau_blocks_match_one_stacked_draw(bootstrap):
+def test_plateau_estimates_do_not_depend_on_the_block(monkeypatch, bootstrap):
     x = pareto(1.2, 60_000, 34)
-    est = plateau_constant(x, 1.2, bootstrap=bootstrap,
-                           rng=np.random.default_rng(35))
-    got = (est.h, est.std_error, est.ci_low, est.ci_high)
-    # exact equality; one resample has no spread, so both SEs are NaN there
-    assert np.array_equal(got, one_shot_plateau(x, 1.2, bootstrap, 35),
-                          equal_nan=True)
+    estimates = []
+    for block in (1, 16, 200):
+        monkeypatch.setattr(tails, "_BOOTSTRAP_BLOCK", block)
+        est = plateau_constant(x, 1.2, bootstrap=bootstrap,
+                               rng=np.random.default_rng(35))
+        estimates.append((est.h, est.std_error, est.ci_low, est.ci_high))
+    # exact equality; one resample has no spread, so its SE is NaN
+    assert np.array_equal(estimates[0], estimates[1], equal_nan=True)
+    assert np.array_equal(estimates[0], estimates[2], equal_nan=True)
+
+
+def test_resampled_exceedances_have_the_multinomial_moments():
+    # ties in the sample and a grid point at the top: bins hold many values
+    ordered = np.sort(np.round(pareto(1.0, 20_000, 37), 2))
+    n = ordered.size
+    grid = np.unique(ordered[int(0.9 * n):int(0.999 * n)])
+    resamples = 4_000
+    counts = np.concatenate(list(tails._resampled_exceedances(
+        ordered, grid, resamples, np.random.default_rng(38))))
+    assert counts.shape == (resamples, grid.size)
+    for i in (0, grid.size // 3, 2 * grid.size // 3, grid.size - 1):
+        # a full redraw of n values counts Binomial(n, p) above grid[i]
+        p = (n - np.searchsorted(ordered, grid[i], side="right")) / n
+        var = n * p * (1 - p)
+        fourth = var * (1 + 3 * (n - 2) * p * (1 - p))
+        assert abs(counts[:, i].mean() - n * p) <= 5 * math.sqrt(
+            var / resamples)
+        assert abs(counts[:, i].var(ddof=1) - var) <= 5 * math.sqrt(
+            (fourth - var ** 2) / resamples)
+
+
+def test_plateau_with_no_value_above_the_window():
+    # the window is one tied value, the sample maximum: nothing to redraw
+    x = np.concatenate([np.linspace(1.0, 2.0, 9_900), np.full(100, 5.0)])
+    est = plateau_constant(x, 1.0)
+    assert (est.h, est.std_error, est.ci_low, est.ci_high) == (0, 0, 0, 0)
 
 
 def traced_peak(function, *args, **kwargs):
@@ -275,6 +287,25 @@ def test_tail_report_bundles_consistent_pieces():
     decoded = json.loads(payload)
     assert decoded["k_used"] == report.alpha_hat.k
     assert len(decoded["survival_points"]) == 40
+
+
+@pytest.mark.parametrize("alpha, k", [(None, None), (1.1, 300)])
+def test_tail_report_equals_its_parts(alpha, k):
+    # zeros and negatives below the tail: the survival grid reads positives
+    x = np.concatenate([pareto(1.0, 50_000, 45), np.zeros(500),
+                        -pareto(2.0, 500, 46)])
+    np.random.default_rng(47).shuffle(x)
+    report = tail_report(x, alpha=alpha, k=k, rng=np.random.default_rng(48))
+    hill = hill_estimator(x, k if k is not None else default_tail_count(x.size))
+    plateau = plateau_constant(x, alpha if alpha is not None else hill.alpha,
+                               rng=np.random.default_rng(48))
+    assert report.alpha_hat == hill
+    assert (report.sweep, report.drift_flag) == hill_sweep(x)
+    assert report.plateau == plateau
+    assert report.survival == survival_points(x, default_survival_grid(x))
+    positive = x[x > 0]
+    assert np.array_equal(default_survival_grid(x), np.geomspace(
+        np.quantile(positive, 0.5), np.quantile(positive, 0.9995), 40))
 
 
 def test_tail_report_fixed_alpha_and_stability(model_b09):
