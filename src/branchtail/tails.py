@@ -251,23 +251,17 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
     TailError
         When fewer than 50 window points are available.
     """
-    values = _values_of(batch)
-    _check_plateau_args(alpha, quantile_band)
-    return _plateau_sorted(np.sort(values), alpha, quantile_band, bootstrap,
-                           rng)
+    return _plateau_sorted(np.sort(_values_of(batch)), alpha, quantile_band,
+                           bootstrap, rng)
 
 
-def _check_plateau_args(alpha, quantile_band):
+def _plateau_sorted(ordered, alpha, quantile_band, bootstrap, rng):
+    """plateau_constant over values already sorted ascending."""
     if not alpha > 0:
         raise TailError("alpha must be positive")
     q_lo, q_hi = quantile_band
     if not (0.9 < q_lo < q_hi < 0.9999):
         raise TailError("quantile band must be increasing within (0.9, 0.9999)")
-
-
-def _plateau_sorted(ordered, alpha, quantile_band, bootstrap, rng):
-    """plateau_constant over values already sorted ascending."""
-    q_lo, q_hi = quantile_band
     n = ordered.size
     i_lo = int(math.floor(q_lo * n))
     i_hi = int(math.ceil(q_hi * n))
@@ -311,6 +305,8 @@ def _resampled_exceedances(ordered, grid, resamples, rng):
     picked = rng.binomial(n, top.size / n, size=resamples)
     for first in range(0, resamples, _BOOTSTRAP_BLOCK):
         block = picked[first:first + _BOOTSTRAP_BLOCK]
+        # a resample with no redraw above grid[0] picks nothing; with no
+        # value there at all, integers() would refuse an empty range
         bins = np.concatenate(
             [bin_of[rng.integers(top.size, size=m)] + row * grid.size
              if m else bin_of[:0] for row, m in enumerate(block)])
@@ -387,10 +383,8 @@ def tail_report(batch, alpha=None, k=None, quantile_band=DEFAULT_QUANTILE_BAND,
     hill = _hill_descending(descending, k if k is not None else
                             default_tail_count(values.size))
     sweep, drift_flag = _sweep_descending(descending, _SWEEP_POINTS)
-    plateau_alpha = alpha if alpha is not None else hill.alpha
-    _check_plateau_args(plateau_alpha, quantile_band)
-    plateau = _plateau_sorted(ordered, plateau_alpha, quantile_band, bootstrap,
-                              rng)
+    plateau = _plateau_sorted(ordered, alpha if alpha is not None else
+                              hill.alpha, quantile_band, bootstrap, rng)
     survival = _survival_sorted(ordered, _grid_sorted(ordered))
     stability = None
     if stability_batch is not None:
