@@ -6,7 +6,6 @@ from .model import (
     VectorModel,
     make_model,
     make_value_law,
-    sample_vector,
     moment_function,
     moment_function_deriv,
     sum_moment,
@@ -35,24 +34,19 @@ from .moments import (
     BoundError,
     MomentReport,
     constructive_constant,
-    estimate_moment,
     fixed_point_mean_exact,
-    generation_mean_exact,
     generation_moment_bound,
     jackknife_mean_se,
-    verify_sum_inequality,
 )
 from .tails import (
     HillEstimate,
     PlateauEstimate,
-    StabilityCheck,
     TailError,
     TailReport,
     default_survival_grid,
     hill_estimator,
     hill_sweep,
     plateau_constant,
-    stability_diagnostic,
     survival_points,
     tail_report,
 )
@@ -73,4 +67,4 @@ from .constants import (
     tail_constant_report,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -29,10 +29,8 @@ __all__ = [
     "MomentValue",
     "VectorModel",
     "make_model",
-    "sample_vector",
     "moment_function",
     "moment_function_deriv",
-    "moment_function_mc",
     "sum_moment",
     "dominance_ratio",
     "mean_se",
@@ -593,13 +591,6 @@ def make_value_law(section):
     return _build_law(section, _VALUE_FAMILIES, "value")
 
 
-def sample_vector(model, rng):
-    """Draw one node vector (q, n, weights) from the model."""
-    q = float(model.draw_q(rng, 1)[0])
-    counts, weights = model.draw_offspring(rng, 1)
-    return q, int(counts[0]), weights
-
-
 # ---------------------------------------------------------------------------
 # moment functionals
 
@@ -626,14 +617,6 @@ def moment_function_deriv(model, theta):
     if not math.isfinite(value):
         return MomentValue(math.inf, "closed-form", diverged=True)
     return MomentValue(value, "closed-form")
-
-
-def moment_function_mc(model, theta, reps, rng):
-    """Monte Carlo counterpart of moment_function, for cross-checks."""
-    counts, weights = model.draw_offspring(rng, reps)
-    terms = reduce_to_parents(np.add, counts, weights ** theta)
-    estimate, se = mean_se(terms)
-    return MomentValue(estimate, "monte-carlo", se)
 
 
 def dominance_ratio(samples):

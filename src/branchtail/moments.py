@@ -1,13 +1,11 @@
 """Exact moment identities and constructive moment bounds.
 
-The generation sums W_n of a weighted branching process satisfy
-E[W_n] = E[Q] rho^n with rho the mean of the weight sum, and their
-beta-moments admit explicit geometric bounds.  For beta <= 1 the bound
-is subadditive and needs no contraction assumption; for beta > 1 it
-relies on a constructive constant K_beta built by one induction over the
-moment orders.  This module computes the exact identities, transcribes
-the constant literally (no sharpening), and verifies every inequality by
-Monte Carlo on sampled batches.
+The beta-moments of the generation sums W_n of a weighted branching
+process admit explicit geometric bounds.  For beta <= 1 the bound is
+subadditive and needs no contraction assumption; for beta > 1 it relies
+on a constructive constant K_beta built by one induction over the moment
+orders.  This module computes the exact mean of the fixed point and
+transcribes the constant literally (no sharpening).
 
 All bounds are one-sided: a report ``holds`` when the empirical moment
 does not exceed the bound by more than three standard errors.
@@ -18,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelError, MomentValue, mean_se, moment_function,
-                    reduce_to_parents, resample_children, sum_moment)
+from .model import ModelError, MomentValue, moment_function, sum_moment
 
 _JACKKNIFE_BLOCKS = 100
 
@@ -44,7 +41,7 @@ class MomentReport:
     Attributes
     ----------
     target : str
-        What the moment is taken of ("W_n", "R", "R^(n)", "weighted-sum").
+        What the moment is taken of ("W_n", "R", "R^(n)").
     beta : float
         Moment order.
     estimate, std_error : float
@@ -75,17 +72,6 @@ def make_report(target, beta, estimate, std_error, bound, bound_name):
     holds = bool(estimate <= bound + 3.0 * std_error)
     return MomentReport(target, float(beta), float(estimate), float(std_error),
                         float(bound), bound_name, holds)
-
-
-def generation_mean_exact(model, n):
-    """E[W_n] = E[Q] * rho^n with rho the mean weight-sum.
-
-    Valid for every n >= 0; no contraction is required.
-    """
-    if n < 0:
-        raise BoundError("generation index must be >= 0")
-    rho = moment_function(model, 1.0).value
-    return model.q_mean() * rho ** n
 
 
 def fixed_point_mean_exact(model):
@@ -193,41 +179,6 @@ def _sum_interpolation_bound(model, beta, y_values, rng=None):
     return y_moment ** (beta / (p - 1.0)) * csum.value
 
 
-def verify_sum_inequality(model, beta, y_values, reps, rng):
-    """Check E[(sum C_i Y_i)^beta - sum (C_i Y_i)^beta] <= bound by MC.
-
-    The bound is ``_sum_interpolation_bound``.  Y is resampled with
-    replacement from ``y_values``.
-
-    Parameters
-    ----------
-    model : VectorModel
-    beta : float
-        Must exceed 1; the inequality is vacuous below that.
-    y_values : array_like
-        Empirical sample of the iid input Y >= 0.
-    reps : int
-        Monte Carlo replications for the left side.
-    rng : numpy Generator
-
-    Returns
-    -------
-    MomentReport
-    """
-    y = np.asarray(y_values, dtype=float)
-    if y.size == 0:
-        raise BoundError("y_values must be nonempty")
-    if reps < 2:
-        raise BoundError("reps must be >= 2")
-    counts, terms = resample_children(model, y, reps, rng)
-    lhs_samples = (reduce_to_parents(np.add, counts, terms) ** beta
-                   - reduce_to_parents(np.add, counts, terms ** beta))
-    estimate, se = mean_se(lhs_samples)
-    bound = _sum_interpolation_bound(model, beta, y, rng)
-    return make_report("weighted-sum", beta, estimate, se, bound,
-                       "sum-interpolation")
-
-
 def jackknife_mean_se(samples, blocks=_JACKKNIFE_BLOCKS):
     """Delete-one-block jackknife standard error of the sample mean.
 
@@ -251,42 +202,3 @@ def jackknife_mean_se(samples, blocks=_JACKKNIFE_BLOCKS):
     center = leave_out.mean()
     var = (b - 1.0) / b * float(((leave_out - center) ** 2).sum())
     return math.sqrt(var)
-
-
-def _tail_index_hint(values):
-    """Rough tail-index estimate used only to flag unreliable moments."""
-    from .tails import TailError, default_tail_count, hill_estimator
-
-    try:
-        est = hill_estimator(values, default_tail_count(len(values)))
-    except TailError:
-        return None
-    return est.alpha
-
-
-def estimate_moment(batch, beta):
-    """Empirical beta-moment of a batch with a jackknife standard error.
-
-    Accepts a SampleBatch or a bare array.  For batches of at least a
-    thousand values a rough internal tail-index estimate flags the
-    result as suspect when beta sits at or above it: the moment is then
-    infinite or nearly so and Gaussian error bars are not trustworthy.
-
-    Returns
-    -------
-    MomentValue
-    """
-    if beta <= 0:
-        raise BoundError("moment order must be positive")
-    values = np.asarray(getattr(batch, "values", batch), dtype=float)
-    if values.size == 0:
-        raise BoundError("batch must be nonempty")
-    powered = values ** beta
-    estimate = float(powered.mean())
-    se = jackknife_mean_se(powered)
-    suspect = False
-    if values.size >= 1000:
-        hint = _tail_index_hint(values)
-        if hint is not None and beta >= hint:
-            suspect = True
-    return MomentValue(estimate, "monte-carlo", se, suspect=suspect)

@@ -6,8 +6,8 @@ recovers alpha from the top order statistics; the plateau estimator
 recovers H by holding alpha fixed and taking the median of
 t^alpha * P(value > t) over a high-quantile window.  Both are
 finite-sample diagnostics, so every estimate ships with its standard
-error and the report carries drift and depth-stability flags rather
-than asymptotic guarantees.
+error and the report carries a drift flag rather than asymptotic
+guarantees.
 
 The plateau's error comes from a bootstrap of the replications that
 redraws only the values above the window's lowest point: their number
@@ -18,7 +18,6 @@ sorts the batch once and hands that order to every estimator.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -67,15 +66,6 @@ class PlateauEstimate:
 
 
 @dataclass(frozen=True)
-class StabilityCheck:
-    """Two-sample KS distance between batches at consecutive depths."""
-
-    ks_distance: float
-    threshold: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class TailReport:
     """Everything the tail analysis produced for one batch."""
 
@@ -84,10 +74,9 @@ class TailReport:
     survival: list
     sweep: list
     drift_flag: bool
-    stability: Optional[StabilityCheck] = None
 
     def to_dict(self):
-        out = {
+        return {
             "alpha_hat": self.alpha_hat.alpha,
             "alpha_std_error": self.alpha_hat.std_error,
             "k_used": self.alpha_hat.k,
@@ -100,13 +89,6 @@ class TailReport:
             "hill_sweep": [list(p) for p in self.sweep],
             "drift_flag": self.drift_flag,
         }
-        if self.stability is not None:
-            out["stability"] = {
-                "ks_distance": self.stability.ks_distance,
-                "threshold": self.stability.threshold,
-                "passed": self.stability.passed,
-            }
-        return out
 
 
 def _values_of(batch):
@@ -241,7 +223,8 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
     quantile_band : pair of floats
         Strictly increasing, within (0.9, 0.9999).
     bootstrap : int
-        Resample count for the CI (0 disables, SE and CI collapse to h).
+        Resample count for the CI, 0 or at least 2 (0 disables, SE and
+        CI collapse to h).
     rng : numpy Generator, optional
         Bootstrap stream; a fixed internal seed is used when omitted so
         reports are reproducible by default.
@@ -249,7 +232,8 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
     Raises
     ------
     TailError
-        When fewer than 50 window points are available.
+        When fewer than 50 window points are available, or the bootstrap
+        count is 1 or negative.
     """
     return _plateau_sorted(np.sort(_values_of(batch)), alpha, quantile_band,
                            bootstrap, rng)
@@ -262,6 +246,9 @@ def _plateau_sorted(ordered, alpha, quantile_band, bootstrap, rng):
     q_lo, q_hi = quantile_band
     if not (0.9 < q_lo < q_hi < 0.9999):
         raise TailError("quantile band must be increasing within (0.9, 0.9999)")
+    if not (bootstrap == 0 or bootstrap >= 2):
+        # one resample has no spread to report
+        raise TailError("bootstrap count must be 0 or >= 2")
     n = ordered.size
     i_lo = int(math.floor(q_lo * n))
     i_hi = int(math.ceil(q_hi * n))
@@ -275,7 +262,7 @@ def _plateau_sorted(ordered, alpha, quantile_band, bootstrap, rng):
     exceed = n - np.searchsorted(ordered, grid, side="right")
     powers = grid ** alpha
     h = float(np.median(powers * exceed / n))
-    if bootstrap < 1:
+    if bootstrap == 0:
         return PlateauEstimate(h, 0.0, h, h, float(grid[0]), float(grid[-1]),
                                int(grid.size))
     if rng is None:
@@ -329,32 +316,12 @@ def ks_distance(a, b):
     return float(np.abs(gap).max())
 
 
-def stability_diagnostic(batch_low, batch_high, threshold=DEFAULT_KS_THRESHOLD):
-    """Two-sample KS distance between depth-n and deeper batches.
-
-    A small distance indicates the truncation depth has converged in
-    distribution.  Both batches must come from the same model and kind,
-    with the first at the strictly smaller depth.
-    """
-    kind_low = getattr(batch_low, "kind", None)
-    kind_high = getattr(batch_high, "kind", None)
-    if kind_low is not None and kind_low != kind_high:
-        raise TailError("stability check needs batches of the same kind")
-    fp_low = getattr(batch_low, "model_fingerprint", None)
-    fp_high = getattr(batch_high, "model_fingerprint", None)
-    if fp_low is not None and fp_low != fp_high:
-        raise TailError("stability check needs batches of the same model")
-    d_low = getattr(batch_low, "depth", None)
-    d_high = getattr(batch_high, "depth", None)
-    if d_low is not None and d_high is not None and not d_low < d_high:
-        raise TailError("first batch must be the shallower one")
-    ks = ks_distance(_values_of(batch_low), _values_of(batch_high))
-    return StabilityCheck(ks, threshold, ks <= threshold)
-
-
 def default_survival_grid(values, points=40):
-    """Geometric threshold grid from the median to the 0.9995 quantile."""
-    return _grid_sorted(np.sort(values), points)
+    """Geometric threshold grid from the median to the 0.9995 quantile.
+
+    ``values`` is a SampleBatch or array_like, as for ``survival_points``.
+    """
+    return _grid_sorted(np.sort(_values_of(values)), points)
 
 
 def _grid_sorted(ordered, points=40):
@@ -369,13 +336,12 @@ def _grid_sorted(ordered, points=40):
 
 
 def tail_report(batch, alpha=None, k=None, quantile_band=DEFAULT_QUANTILE_BAND,
-                bootstrap=DEFAULT_BOOTSTRAP, stability_batch=None,
-                ks_threshold=DEFAULT_KS_THRESHOLD, rng=None):
+                bootstrap=DEFAULT_BOOTSTRAP, rng=None):
     """Assemble the full tail analysis for one batch.
 
     ``alpha`` fixes the plateau exponent; by default the Hill estimate
-    is used.  ``stability_batch`` adds the depth-convergence KS check.
-    The values are sorted once and every estimator reads that order.
+    is used.  The values are sorted once and every estimator reads that
+    order.
     """
     values = _values_of(batch)
     ordered = np.sort(values)
@@ -386,7 +352,4 @@ def tail_report(batch, alpha=None, k=None, quantile_band=DEFAULT_QUANTILE_BAND,
     plateau = _plateau_sorted(ordered, alpha if alpha is not None else
                               hill.alpha, quantile_band, bootstrap, rng)
     survival = _survival_sorted(ordered, _grid_sorted(ordered))
-    stability = None
-    if stability_batch is not None:
-        stability = stability_diagnostic(batch, stability_batch, ks_threshold)
-    return TailReport(hill, plateau, survival, sweep, drift_flag, stability)
+    return TailReport(hill, plateau, survival, sweep, drift_flag)

@@ -1,26 +1,28 @@
 import inspect
+import pathlib
+
+import pytest
 
 import branchtail
 
 # The names branchtail exports are its API: removing or renaming one must
 # be a deliberate edit of this list.
 PUBLIC_NAMES = [
-    "BoundError", "ConditionReport", "ConstantError", "ContractionRootError",
-    "CramerSolution", "DEFAULT_BUDGET", "DualEstimateReport", "EngineError",
-    "HillEstimate", "ModelError", "MomentReport", "MomentValue",
-    "NoSignChangeError", "PlateauEstimate", "SampleBatch", "SolverError",
-    "StabilityCheck", "TEST_FUNCTIONS", "TailConstantReport", "TailError",
-    "TailReport", "TiltError", "TiltedMeasure", "VectorModel",
+    "BoundError", "ConditionReport", "ConstantError",
+    "ContractionRootError", "CramerSolution", "DEFAULT_BUDGET",
+    "DualEstimateReport", "EngineError", "HillEstimate", "ModelError",
+    "MomentReport", "MomentValue", "NoSignChangeError", "PlateauEstimate",
+    "SampleBatch", "SolverError", "TEST_FUNCTIONS", "TailConstantReport",
+    "TailError", "TailReport", "TiltError", "TiltedMeasure", "VectorModel",
     "check_conditions", "constructive_constant", "default_survival_grid",
-    "estimate_moment", "fixed_point_mean_exact", "generation_mean_exact",
-    "generation_moment_bound", "hill_estimator", "hill_sweep", "iterate_from",
-    "jackknife_mean_se", "make_model", "make_tilted", "make_value_law",
-    "moment_function", "moment_function_deriv", "plateau_constant",
-    "read_batch_csv", "run_batch", "sample_vector", "solve_alpha",
-    "stability_diagnostic", "sum_moment", "summary", "survival_points",
-    "tail_constant_bounds", "tail_constant_closed_form", "tail_constant_mc",
-    "tail_constant_report", "tail_report", "truncation_bound",
-    "verify_product_measure", "verify_sum_inequality", "write_batch_csv",
+    "fixed_point_mean_exact", "generation_moment_bound", "hill_estimator",
+    "hill_sweep", "iterate_from", "jackknife_mean_se", "make_model",
+    "make_tilted", "make_value_law", "moment_function",
+    "moment_function_deriv", "plateau_constant", "read_batch_csv",
+    "run_batch", "solve_alpha", "sum_moment", "summary", "survival_points",
+    "tail_constant_bounds", "tail_constant_closed_form",
+    "tail_constant_mc", "tail_constant_report", "tail_report",
+    "truncation_bound", "verify_product_measure", "write_batch_csv",
 ]
 
 
@@ -29,3 +31,11 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(branchtail).items()
                    if not name.startswith("_") and not inspect.ismodule(value))
     assert names == PUBLIC_NAMES
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert branchtail.__version__ == project["version"]
