@@ -5,7 +5,6 @@ from .model import (
     MomentValue,
     VectorModel,
     make_model,
-    make_value_law,
     moment_function,
     moment_function_deriv,
     sum_moment,
@@ -23,7 +22,6 @@ from .engine import (
     DEFAULT_BUDGET,
     EngineError,
     SampleBatch,
-    iterate_from,
     read_batch_csv,
     run_batch,
     summary,
@@ -67,4 +65,4 @@ from .constants import (
     tail_constant_report,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -34,9 +34,8 @@ from .engine import (
     _KINDS,
     DEFAULT_BUDGET,
     EngineError,
-    _require_completed,
-    _validate_kind,
-    generation_frontier,
+    _iterate_forest,
+    _martingale_forest,
     read_batch_csv,
     run_batch,
     summary,
@@ -384,12 +383,11 @@ def cmd_analyze(config, batch_path):
                ["threshold", "survival", "std_error"], report.survival)
 
     constant_payload = {"available": False, "reason": None}
-    kind = batch.base_kind or batch.kind
     try:
         sol = _solve(config, model)
-        constant = tail_constant_report(model, sol, kind, r_batch=batch,
-                                        rng=np.random.default_rng(
-                                            config["seed"]))
+        constant = tail_constant_report(
+            model, sol, batch.kind, r_batch=batch,
+            rng=np.random.default_rng(config["seed"]))
         constant_payload = dict(constant.to_dict(), available=True)
     except (SolverError, ConstantError) as err:
         constant_payload["reason"] = str(err)
@@ -417,44 +415,6 @@ def _verify_renewal(config, model, rng):
                        "reason": str(err) if n is None else f"n={n}: {err}",
                        "holds": None})
     return checks
-
-
-def _martingale_forest(model, depths, reps, budget, rng):
-    """W_n = sum over generation n of Pi_v Q_v per tree, for each n in depths.
-
-    One forest of ``reps`` trees grown to the deepest n; a tree over the
-    budget by generation n is left out of W_n, as run_batch abandons it.
-    """
-    w = {}
-    forest = generation_frontier(model, max(depths, default=0), reps, budget,
-                                 rng)
-    for n, (pi, owner, alive) in enumerate(forest):
-        if n in depths:
-            _require_completed(~alive, budget)
-            marks = model.draw_mark(rng, pi.size)
-            w[n] = np.bincount(owner, pi * marks, minlength=reps)[alive]
-    return w
-
-
-def _iterate_forest(model, kind, n, starts, reps, budget, rng):
-    """n-step iterates from deterministic starts, all on one forest.
-
-    Each tree folds Pi_v Q_v over generations 0..n-1 by sum (linear) or
-    max (max), then takes ``s`` times the same fold of its generation-n
-    path products for each start ``s``, so the starts share every draw.
-    Trees over the budget by generation n are left out.
-    """
-    _validate_kind(model, kind)
-    fold = np.add if kind == "linear" else np.maximum
-    partial = np.zeros(reps)
-    forest = generation_frontier(model, n, reps, budget, rng)
-    for k, (pi, owner, alive) in enumerate(forest):
-        if k < n:
-            fold.at(partial, owner, pi * model.draw_q(rng, pi.size))
-    _require_completed(~alive, budget)
-    boundary = np.zeros(reps)
-    fold.at(boundary, owner, pi)
-    return [fold(partial, s * boundary)[alive] for s in starts]
 
 
 def _verify_moment_grid(config, model, rng, corrupt=False):

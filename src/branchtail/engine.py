@@ -8,8 +8,10 @@ tree size, for every kind.  The tree itself is never materialized.
 ``generation_frontier`` instead grows a whole forest from one shared
 generator and yields every generation, each path product with its
 tree, for checks that need generation-level quantities of many trees
-(the weighted generation measure, W_n for several n from one forest).
-It is outside the per-replication stream contract below.
+(the weighted generation measure, W_n for several n from one forest,
+the n-step iterates from several starts).  ``_martingale_forest`` and
+``_iterate_forest`` fold such a forest tree by tree.  The forest is
+outside the per-replication stream contract below.
 
 Reproducibility contract
 ------------------------
@@ -28,7 +30,6 @@ Replications whose node count exceeds the budget are abandoned and
 counted, never clipped; their values are excluded from estimates.
 """
 
-import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -37,14 +38,13 @@ from typing import Optional
 
 import numpy as np
 
-from .model import make_value_law, moment_function
+from .model import moment_function
 from .moments import contractive, generation_moment_bound
 
 DEFAULT_BUDGET = 10 ** 7
 _CHUNK = 2048  # fixed so reductions associate identically for any worker count
 
 _KINDS = ("linear", "homogeneous-martingale", "max", "max-plus")
-_ITERATE_BASE_KINDS = ("linear", "max")
 
 
 class EngineError(ValueError):
@@ -55,12 +55,11 @@ class EngineError(ValueError):
 class SampleBatch:
     """Immutable result of a batch of replications.
 
-    ``kind`` names one of the recursion kinds, or iterate-from over a
-    linear or max base kind.  ``values`` holds the completed replications
-    in replication order, finite and nonnegative; budget-hit
-    replications are excluded from it but counted.  Level statistics
-    summarize generation sizes Z_k over completed replications (absent
-    generations count as size 0).
+    ``kind`` names one of the four recursion kinds.  ``values`` holds
+    the completed replications in replication order, finite and
+    nonnegative; budget-hit replications are excluded from it but
+    counted.  Level statistics summarize generation sizes Z_k over
+    completed replications (absent generations count as size 0).
     """
 
     kind: str
@@ -76,13 +75,9 @@ class SampleBatch:
     model_fingerprint: str
     node_counts: Optional[np.ndarray] = field(default=None, repr=False)
     truncated: Optional[np.ndarray] = field(default=None, repr=False)
-    base_kind: Optional[str] = None
-    r0: Optional[dict] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS and not (
-                self.kind == "iterate-from"
-                and self.base_kind in _ITERATE_BASE_KINDS):
+        if self.kind not in _KINDS:
             raise EngineError(f"unknown recursion kind: {self.kind!r}")
         if not (np.isfinite(self.values) & (self.values >= 0.0)).all():
             raise EngineError("batch values must be finite and nonnegative")
@@ -123,12 +118,10 @@ def _validate_kind(model, kind):
         raise EngineError(f"kind {kind!r} requires P(Q > 0) > 0")
 
 
-def _draw_tolls(model, kind, last, boundary, rng, size):
-    """Generation tolls: martingale marks, the r0 boundary, or Q."""
+def _draw_tolls(model, kind, last, rng, size):
+    """Generation tolls: martingale marks at the last generation, else Q."""
     if kind == "homogeneous-martingale":
         return model.draw_mark(rng, size) if last else None
-    if last and boundary is not None:
-        return boundary.sample(rng, size)
     return model.draw_q(rng, size)
 
 
@@ -136,7 +129,7 @@ _ROOT = np.ones(1)
 _ROOT.flags.writeable = False  # every replication starts from it
 
 
-def _replicate(model, kind, depth, budget, rng, boundary=None):
+def _replicate(model, kind, depth, budget, rng):
     """One replication, grown generation by generation; returns (value, nodes, z).
 
     This is the one place that encodes the stream order: generation k
@@ -144,8 +137,7 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
     fold by sum (linear, martingale) or by max (max); max-plus carries
     each node's path sum S_v = sum of Pi_u Q_u over u on root..v and
     takes their max, which is R because the weights are nonnegative.
-    The martingale kind draws marks at generation ``depth`` only; a
-    ``boundary`` law replaces Q at generation ``depth`` (iterate-from).
+    The martingale kind draws marks at generation ``depth`` only.
 
     A None value means the node budget was hit and the replication
     abandoned, before the weights of the generation that hit it were
@@ -159,7 +151,7 @@ def _replicate(model, kind, depth, budget, rng, boundary=None):
     path = 0.0  # the root's path sum before its toll
     while True:
         last = level == depth
-        tolls = _draw_tolls(model, kind, last, boundary, rng, pi.size)
+        tolls = _draw_tolls(model, kind, last, rng, pi.size)
         if kind == "max":
             acc = max(acc, float((tolls * pi).max()))
         elif kind == "max-plus":
@@ -219,6 +211,47 @@ def generation_frontier(model, depth, trees, budget, rng):
         yield pi, owner, alive
 
 
+def _martingale_forest(model, depths, reps, budget, rng):
+    """W_n = sum over generation n of Pi_v Q_v per tree, for each n in depths.
+
+    One forest of ``reps`` trees grown to the deepest n; a tree over the
+    budget by generation n is left out of W_n, as run_batch abandons it.
+    """
+    w = {}
+    forest = generation_frontier(model, max(depths, default=0), reps, budget,
+                                 rng)
+    for n, (pi, owner, alive) in enumerate(forest):
+        if n in depths:
+            _require_completed(~alive, budget)
+            marks = model.draw_mark(rng, pi.size)
+            w[n] = np.bincount(owner, pi * marks, minlength=reps)[alive]
+    return w
+
+
+def _iterate_forest(model, kind, n, starts, reps, budget, rng):
+    """n-step iterates from deterministic starts, all on one forest.
+
+    Each tree folds Pi_v Q_v over generations 0..n-1 by sum (linear) or
+    max (max), then takes ``s`` times the same fold of its generation-n
+    path products for each start ``s``, so the starts share every draw.
+    Trees over the budget by generation n are left out.
+    """
+    if kind not in ("linear", "max"):
+        raise EngineError(f"the iterate takes kind linear or max, "
+                          f"not {kind!r}")
+    _validate_kind(model, kind)
+    fold = np.add if kind == "linear" else np.maximum
+    partial = np.zeros(reps)
+    forest = generation_frontier(model, n, reps, budget, rng)
+    for k, (pi, owner, alive) in enumerate(forest):
+        if k < n:
+            fold.at(partial, owner, pi * model.draw_q(rng, pi.size))
+    _require_completed(~alive, budget)
+    boundary = np.zeros(reps)
+    fold.at(boundary, owner, pi)
+    return [fold(partial, s * boundary)[alive] for s in starts]
+
+
 def _require_completed(truncated, budget):
     """Raise unless some replication stayed within the node budget."""
     if truncated.all():
@@ -226,15 +259,12 @@ def _require_completed(truncated, budget):
                           f"the node budget {budget}")
 
 
-def _run_chunk(model, kind, depth, budget, seed, start, count,
-               base_kind=None, r0_params=None):
+def _run_chunk(model, kind, depth, budget, seed, start, count):
     """Replications [start, start+count); picklable worker task.
 
     Returns plain arrays only.  Level sums are integers so chunk merges
     are exact and independent of chunk execution order.
     """
-    boundary = make_value_law(r0_params) if r0_params is not None else None
-    fold = base_kind or kind
     # one generator per chunk, re-keyed per replication: building a Philox
     # costs far more than a small tree's draws
     bit_generator = np.random.Philox(0)
@@ -252,7 +282,7 @@ def _run_chunk(model, kind, depth, budget, seed, start, count,
     for j in range(count):
         key[1] = start + j
         bit_generator.state = fresh
-        value, nodes, z = _replicate(model, fold, depth, budget, rng, boundary)
+        value, nodes, z = _replicate(model, kind, depth, budget, rng)
         node_counts[j] = nodes
         if value is None:
             truncated[j] = True
@@ -284,8 +314,24 @@ def _merge_chunks(results):
     return values, node_counts, truncated, level_sums, level_maxes
 
 
-def _batch_common(model, kind, depth, reps, budget, seed, workers,
-                  base_kind=None, r0_params=None):
+def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
+              workers=1):
+    """Sample ``reps`` independent replications into a SampleBatch.
+
+    ``kind`` is linear (R = sum_i C_i R_i + Q), max (R = max(max_i C_i R_i,
+    Q)), max-plus (R = max_i C_i R_i + Q) or homogeneous-martingale (the
+    generation-``depth`` path weights summed against marks).
+
+    The output is a deterministic function of (model, kind, depth, reps,
+    budget, seed): replication i derives its stream from (seed, i), so
+    the worker count changes wall time only.  Raises when every
+    replication hits the budget.  Exact mode (``depth`` None) needs
+    P(N = 0) > 0; with E[N] >= 1 the expected tree size is infinite, so
+    only the budget bounds a replication and only a small budget keeps
+    the run cheap (the CLI refuses such a law in exact mode).
+    """
+    _validate_kind(model, kind)
+    depth = _validate_depth(model, depth)
     seed = _validate_seed(seed)
     if reps < 1:
         raise EngineError("reps must be >= 1")
@@ -297,15 +343,14 @@ def _batch_common(model, kind, depth, reps, budget, seed, workers,
              for start in range(0, reps, _CHUNK)]
     if workers == 1:
         results = [
-            _run_chunk(model, kind, depth, budget, seed, start, count,
-                       base_kind, r0_params)
+            _run_chunk(model, kind, depth, budget, seed, start, count)
             for start, count in tasks
         ]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_chunk, model, kind, depth, budget, seed,
-                            start, count, base_kind, r0_params)
+                            start, count)
                 for start, count in tasks
             ]
             results = [f.result() for f in futures]
@@ -327,60 +372,7 @@ def _batch_common(model, kind, depth, reps, budget, seed, workers,
         model_fingerprint=model.fingerprint(),
         node_counts=node_counts,
         truncated=truncated,
-        base_kind=base_kind,
-        r0=r0_params,
     )
-
-
-def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
-              workers=1):
-    """Sample ``reps`` independent replications into a SampleBatch.
-
-    ``kind`` is linear (R = sum_i C_i R_i + Q), max (R = max(max_i C_i R_i,
-    Q)), max-plus (R = max_i C_i R_i + Q) or homogeneous-martingale (the
-    generation-``depth`` path weights summed against marks).
-
-    The output is a deterministic function of (model, kind, depth, reps,
-    budget, seed): replication i derives its stream from (seed, i), so
-    the worker count changes wall time only.  Raises when every
-    replication hits the budget.  Exact mode (``depth`` None) needs
-    P(N = 0) > 0; with E[N] >= 1 the expected tree size is infinite, so
-    only the budget bounds a replication and only a small budget keeps
-    the run cheap (the CLI refuses such a law in exact mode).
-    """
-    _validate_kind(model, kind)
-    depth = _validate_depth(model, depth)
-    return _batch_common(model, kind, depth, reps, budget, seed, workers)
-
-
-def iterate_from(model, kind, r0, n, reps, seed, budget=DEFAULT_BUDGET,
-                 workers=1):
-    """Sample the n-step iterate of the recursion started from law r0.
-
-    For the linear kind this is the (n-1)-generation partial sum plus
-    the generation-n boundary term; for the max kind the analogous
-    maximum.  With r0 fixed at 0 the boundary vanishes and the sample
-    paths coincide with the plain depth-(n-1) recursion.
-
-    Parameters
-    ----------
-    model : VectorModel
-    kind : {"linear", "max"}
-    r0 : dict
-        Family section for the initial-value law.
-    n : int
-        Iteration count, >= 0.
-    reps, seed, budget, workers : as run_batch
-    """
-    if kind not in _ITERATE_BASE_KINDS:
-        raise EngineError(f"iterate-from supports kinds {_ITERATE_BASE_KINDS}")
-    _validate_kind(model, kind)
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise EngineError("iteration count must be an integer >= 0")
-    r0_law = make_value_law(r0)  # validate before farming out
-    del r0_law
-    return _batch_common(model, "iterate-from", int(n), reps, budget, seed,
-                         workers, base_kind=kind, r0_params=dict(r0))
 
 
 def truncation_bound(model, beta, depth, rng=None):
@@ -441,10 +433,6 @@ def write_batch_csv(batch, path):
         "level_mean": _floats_csv(batch.level_mean),
         "level_max": ",".join(str(int(x)) for x in batch.level_max),
     }
-    if batch.base_kind is not None:
-        meta["base_kind"] = batch.base_kind
-    if batch.r0 is not None:
-        meta["r0"] = json.dumps(batch.r0, sort_keys=True)
     lines = [f"# {_CSV_MAGIC}"]
     lines.extend(f"# {key}={text}" for key, text in meta.items())
     lines.append("value")
@@ -514,8 +502,6 @@ def read_batch_csv(path):
             level_mean=level_mean,
             level_max=level_max,
             model_fingerprint=meta["model_fingerprint"],
-            base_kind=meta.get("base_kind"),
-            r0=json.loads(meta["r0"]) if "r0" in meta else None,
         )
     except KeyError as exc:
         raise EngineError(f"batch CSV missing metadata field {exc}") from None
@@ -555,7 +541,7 @@ def summary(batch):
     }
     if batch.node_counts is not None:
         nodes["max_per_replication"] = int(batch.node_counts.max())
-    out = {
+    return {
         "kind": batch.kind,
         "depth": batch.depth,
         "seed": batch.seed,
@@ -576,8 +562,3 @@ def summary(batch):
             "max": [int(x) for x in batch.level_max],
         },
     }
-    if batch.base_kind is not None:
-        out["base_kind"] = batch.base_kind
-    if batch.r0 is not None:
-        out["r0"] = batch.r0
-    return out

@@ -583,14 +583,6 @@ def make_model(spec, recursion_kind=None):
     return model
 
 
-def make_value_law(section):
-    """Build a standalone nonnegative value law from a family section.
-
-    Used for initial-condition laws that are not part of a model triple.
-    """
-    return _build_law(section, _VALUE_FAMILIES, "value")
-
-
 # ---------------------------------------------------------------------------
 # moment functionals
 

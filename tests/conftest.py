@@ -12,6 +12,7 @@ Three reference parameterizations recur across the suite:
 
 import math
 
+import numpy as np
 import pytest
 
 from branchtail.model import make_model
@@ -79,6 +80,25 @@ def model_b03():
 @pytest.fixture(scope="session")
 def uniform_model():
     return make_model(uniform_model_spec())
+
+
+def model_b_iterate(rng, kind, start, n, reps, c_scale=1.0):
+    """n-step iterates of the model_b(c_scale) recursion from ``start``.
+
+    With N in {0, 1} every tree is a chain, so the iterate is explicit:
+    the sum (linear) or max (max) of Pi_k Q = Pi_k (the toll is 1) over
+    the chain's generations k < n, folded with ``start`` times Pi_n when
+    the chain reaches generation n.  Drawn with numpy alone over all chains at
+    once, as in bench/reference.py, so it shares no code with the engine.
+    """
+    fold = np.add if kind == "linear" else np.maximum
+    value = np.zeros(reps)
+    path = np.ones(reps)  # Pi of each chain's current node; 0 once it died
+    for _ in range(n):
+        value = fold(value, path)
+        path = (path * (rng.random(reps) < 0.5) * c_scale
+                * rng.lognormal(LN2 - 0.5, 1.0, reps))
+    return fold(value, start * path)
 
 
 # Frozen oracle values (high-precision bisection / Decimal algebra, computed

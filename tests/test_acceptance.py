@@ -21,7 +21,8 @@ from branchtail.cli import main
 from branchtail.constants import (tail_constant_bounds, tail_constant_closed_form,
                                   tail_constant_mc)
 from branchtail.cramer import ContractionRootError, solve_alpha
-from branchtail.engine import iterate_from, run_batch, truncation_bound
+from branchtail.engine import (DEFAULT_BUDGET, _iterate_forest, run_batch,
+                               truncation_bound)
 from branchtail.model import make_model, moment_function
 from branchtail.moments import generation_moment_bound
 from branchtail.renewal import verify_product_measure
@@ -191,11 +192,11 @@ def test_07_renewal_product_identity(model_a, sol_a):
 
 
 def test_08_iteration_forgets_start(model_b09):
-    det0 = {"family": "deterministic", "value": 0.0}
-    det100 = {"family": "deterministic", "value": 100.0}
-    low = iterate_from(model_b09, "linear", det0, 15, 100_000, seed=900)
-    high = iterate_from(model_b09, "linear", det100, 15, 100_000, seed=901)
-    ks = ks_2samp(low.values, high.values, method="asymp").statistic
+    (low,) = _iterate_forest(model_b09, "linear", 15, (0.0,), 100_000,
+                             DEFAULT_BUDGET, np.random.default_rng(900))
+    (high,) = _iterate_forest(model_b09, "linear", 15, (100.0,), 100_000,
+                              DEFAULT_BUDGET, np.random.default_rng(901))
+    ks = ks_2samp(low, high, method="asymp").statistic
     assert ks <= 0.01
 
 

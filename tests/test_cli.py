@@ -13,14 +13,14 @@ import yaml
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
-from branchtail.cli import (DEFAULTS, ConfigError, _iterate_forest,
-                            _martingale_forest, load_config, main)
-from branchtail.engine import (DEFAULT_BUDGET, iterate_from, run_batch,
+from branchtail.cli import DEFAULTS, ConfigError, load_config, main
+from branchtail.engine import (DEFAULT_BUDGET, _iterate_forest,
+                               _martingale_forest, run_batch,
                                truncation_bound)
 from branchtail.model import VectorModel, make_model
 
-from conftest import (model_a_spec, model_b_spec, poisson2_spec,
-                      uniform_model_spec)
+from conftest import (model_a_spec, model_b_iterate, model_b_spec,
+                      poisson2_spec, uniform_model_spec)
 
 
 def write_config(tmp_path, spec, name="config.yaml", **top_level):
@@ -340,6 +340,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["analyze"], (-2, "nan")),
     (["analyze"], (-2, "")),  # a blank row: one value row short
     (["analyze"], (1, "# kind=foo")),
+    # an iterate batch's header rows: a kind no command writes
+    (["analyze"], (1, "# kind=iterate-from\n# base_kind=linear")),
 ], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
         "float-list-word", "float-list-short", "set-section", "kind-word",
         "float-list-nan", "float-nan", "threshold-nan", "tol-nan", "tol-inf",
@@ -353,7 +355,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "model-support-list", "model-support-fraction",
         "model-moment-overflow", "model-scale-overflow",
         "value-row", "metadata-row", "not-utf8", "value-nan",
-        "value-dropped", "kind-row"])
+        "value-dropped", "kind-row", "iterate-kind-rows"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
                                                corrupt):
     path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,
@@ -641,16 +643,15 @@ def test_forest_w_n_has_the_martingale_law(model_a):
 
 
 @pytest.mark.parametrize("kind", ["linear", "max"])
-def test_forest_iterates_have_the_iterate_from_law(model_b09, kind):
+def test_forest_iterates_have_the_chain_law(model_b09, kind):
     reps, n, starts = 4000, 10, (0.0, 100.0)
     forest = _iterate_forest(model_b09, kind, n, starts, reps,
                              DEFAULT_BUDGET, np.random.default_rng(103))
+    chain_rng = np.random.default_rng(104)
     for start, values in zip(starts, forest):
-        batch = iterate_from(model_b09, kind,
-                             {"family": "deterministic", "value": start},
-                             n, reps, seed=104)
+        chains = model_b_iterate(chain_rng, kind, start, n, reps, 0.9)
         assert values.size == reps
-        assert sstats.ks_2samp(values, batch.values).pvalue > 1e-6
+        assert sstats.ks_2samp(values, chains).pvalue > 1e-6
 
 
 def test_importing_the_package_leaves_scipy_unloaded():

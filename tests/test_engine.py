@@ -13,15 +13,15 @@ from branchtail import engine
 from branchtail.engine import (
     EngineError,
     SampleBatch,
+    _iterate_forest,
     generation_frontier,
-    iterate_from,
     read_batch_csv,
     run_batch,
     summary,
     truncation_bound,
     write_batch_csv,
 )
-from branchtail.model import ModelError, make_model, make_value_law
+from branchtail.model import make_model
 
 from conftest import RHO_HALF_B09, TRUNC_B09_HALF_20, model_b_spec
 
@@ -230,7 +230,7 @@ def test_seeds_above_two_to_the_63_give_distinct_streams(model_b):
 
 
 @pytest.mark.parametrize("kind", [
-    "linear", "max", "max-plus", "homogeneous-martingale", "iterate-from"])
+    "linear", "max", "max-plus", "homogeneous-martingale"])
 def test_batch_replays_fresh_generator_per_replication(kind):
     m = make_model({
         "n": {"family": "poisson", "mean": 1.5},
@@ -239,19 +239,12 @@ def test_batch_replays_fresh_generator_per_replication(kind):
     })
     # 2050 replications cross a chunk boundary; the budget abandons some
     reps, depth, budget, seed = 2050, 6, 40, 987654321
-    r0 = {"family": "lognormal", "mu": 1.0, "sigma2": 1.0}
-    if kind == "iterate-from":
-        batch = iterate_from(m, "linear", r0, depth, reps, seed=seed,
-                             budget=budget)
-        fold, boundary = "linear", make_value_law(r0)
-    else:
-        batch = run_batch(m, kind, depth, reps, budget=budget, seed=seed)
-        fold, boundary = kind, None
+    batch = run_batch(m, kind, depth, reps, budget=budget, seed=seed)
     values, nodes, truncated = [], [], []
     for i in range(reps):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed, i], dtype=np.uint64)))
-        value, n, _ = engine._replicate(m, fold, depth, budget, rng, boundary)
+        value, n, _ = engine._replicate(m, kind, depth, budget, rng)
         nodes.append(n)
         truncated.append(value is None)
         if value is not None:
@@ -433,14 +426,15 @@ def test_csv_round_trip_is_byte_identical(model_b09, tmp_path):
     assert loaded.depth == batch.depth
 
 
-def test_csv_round_trip_exact_mode_and_iterate(model_b09, tmp_path):
-    batch = iterate_from(model_b09, "linear", det(4.0), 6, 200, seed=3)
-    path = tmp_path / "iter.csv"
-    write_batch_csv(batch, path)
-    loaded = read_batch_csv(path)
-    assert loaded.kind == "iterate-from"
-    assert loaded.base_kind == "linear"
-    assert loaded.r0 == det(4.0)
+def test_csv_round_trip_exact_mode(model_b09, tmp_path):
+    batch = run_batch(model_b09, "linear", None, 200, seed=3)
+    first = tmp_path / "exact.csv"
+    second = tmp_path / "again.csv"
+    write_batch_csv(batch, first)
+    loaded = read_batch_csv(first)
+    write_batch_csv(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.depth is None
     assert np.array_equal(loaded.values, batch.values)
 
 
@@ -489,29 +483,23 @@ def test_summary_is_json_ready(model_b09):
     assert info["nodes"]["total"] == batch.total_nodes
 
 
-# fixed-point iteration from an explicit initial law
-
-
-def test_iterate_from_zero_start_matches_truncated_sum(model_b09):
-    # with R_0 = 0 the n-step iterate equals the depth n-1 truncated sum
-    direct = run_batch(model_b09, "linear", 5, 400, seed=19)
-    iterated = iterate_from(model_b09, "linear", det(0.0), 6, 400, seed=19)
-    assert np.array_equal(iterated.values, direct.values)
+# fixed-point iteration from deterministic starts, on one forest
 
 
 def test_iterate_from_start_mass_decays(model_b09):
     # the boundary term carries weight rho^n, so a huge start washes out
-    far = iterate_from(model_b09, "linear", det(1000.0), 14, 400, seed=19)
-    near = iterate_from(model_b09, "linear", det(0.0), 14, 400, seed=19)
-    assert np.all(far.values >= near.values)
-    assert np.median(far.values - near.values) < 1.0
+    far, near = _iterate_forest(model_b09, "linear", 14, (1000.0, 0.0), 400,
+                                engine.DEFAULT_BUDGET,
+                                np.random.default_rng(19))
+    assert np.all(far >= near)
+    assert np.median(far - near) < 1.0
 
 
-def test_iterate_from_validates_kind_and_law(model_b09):
-    with pytest.raises(EngineError, match="kind"):
-        iterate_from(model_b09, "max-plus", det(0.0), 4, 50, seed=0)
-    with pytest.raises(ModelError):
-        iterate_from(model_b09, "linear", {"family": "cauchy"}, 4, 50, seed=0)
+def test_iterate_forest_refuses_other_kinds(model_b09):
+    for kind in ("max-plus", "homogeneous-martingale"):
+        with pytest.raises(EngineError, match="kind"):
+            _iterate_forest(model_b09, kind, 4, (0.0,), 50,
+                            engine.DEFAULT_BUDGET, np.random.default_rng(0))
 
 
 # truncation error bound
