@@ -34,7 +34,6 @@ from .moments import (
     constructive_constant,
     fixed_point_mean_exact,
     generation_moment_bound,
-    jackknife_mean_se,
 )
 from .tails import (
     HillEstimate,
@@ -65,4 +64,4 @@ from .constants import (
     tail_constant_report,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

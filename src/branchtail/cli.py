@@ -42,8 +42,8 @@ from .engine import (
     truncation_bound,
     write_batch_csv,
 )
-from .model import ModelError, make_model
-from .moments import generation_moment_bound, jackknife_mean_se, make_report
+from .model import ModelError, make_model, mean_se
+from .moments import generation_moment_bound, make_report
 from .renewal import _MAX_CONVOLUTION, TiltError, verify_product_measure
 from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
                     DEFAULT_QUANTILE_BAND, TailError, ks_distance, tail_report)
@@ -97,6 +97,7 @@ _PAIRS = ("solver.bracket", "tails.quantile_band", "verify.iterate_starts")
 _RANGES = (
     ("seed", lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
     ("solver.tol", lambda v: v > 0, "> 0"),
+    ("truncation_beta", lambda v: v > 0, "> 0"),
     ("tails.bootstrap", lambda v: v == 0 or v >= 2, "0 or >= 2"),
     ("verify.renewal_reps", lambda v: v >= 2, ">= 2"),
     ("verify.moment_reps", lambda v: v >= 2, ">= 2"),
@@ -433,16 +434,14 @@ def _verify_moment_grid(config, model, rng, corrupt=False):
                 cell.update(status="precondition-unmet", holds=None)
                 cells.append(cell)
                 continue
-            powered = w[n] ** beta
-            estimate = float(powered.mean())
+            estimate, se = mean_se(w[n] ** beta)
             bound_value = bound.value
             if corrupt:
                 bound_value = estimate / 2.0  # self-test: must now fail
                 cell["status"] = "self-test-corrupted"
             else:
                 cell["status"] = "checked"
-            report = make_report("W_n", beta, estimate,
-                                 jackknife_mean_se(powered), bound_value,
+            report = make_report("W_n", beta, estimate, se, bound_value,
                                  bound.method)
             cell.update(
                 estimate=report.estimate,

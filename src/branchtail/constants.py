@@ -19,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (ModelError, MomentValue, dominance_ratio,
+from .model import (ModelError, MomentValue, dominance_ratio, mean_se,
+                    moment_function, moment_function_deriv,
                     reduce_to_parents, resample_children)
-from .moments import (_sum_interpolation_bound, fixed_point_mean_exact,
-                      jackknife_mean_se)
+from .moments import _sum_interpolation_bound, fixed_point_mean_exact
 
 _MC_SEED = 0x7C057A17
 _MIN_BATCH = 100_000
@@ -63,8 +63,6 @@ def tail_constant_closed_form(model, alpha, kind):
         Unsupported (kind, alpha) pair, or a divergent mean where the
         formula needs E[R].
     """
-    from .model import moment_function, moment_function_deriv
-
     a = _alpha_integer(alpha)
     if kind == "homogeneous-martingale":
         if a != 2:
@@ -153,8 +151,7 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
             sums += q
         outer = sums ** alpha
     integrand = (outer - power_sums) / (alpha * mu)
-    value = float(integrand.mean())
-    se = jackknife_mean_se(integrand)
+    value, se = mean_se(integrand)
     suspect = alpha >= 2.0 and dominance_ratio(integrand) > 0.05
     return MomentValue(value, "monte-carlo", se, suspect=suspect)
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import moment_function
+from .model import mean_se, moment_function
 from .moments import contractive, generation_moment_bound
 
 DEFAULT_BUDGET = 10 ** 7
@@ -528,9 +528,8 @@ def _bad_value_row(rows, exc):
 def summary(batch):
     """JSON-ready summary: moments, quantiles, and node-count statistics."""
     values = batch.values
-    n = values.size
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
+    mean, std_error = mean_se(values)
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
     quantiles = {
         str(q): float(np.quantile(values, q))
         for q in (0.5, 0.9, 0.99, 0.999)
@@ -552,7 +551,7 @@ def summary(batch):
         "model_fingerprint": batch.model_fingerprint,
         "value_mean": mean,
         "value_sd": sd,
-        "value_std_error": sd / math.sqrt(n) if n > 1 else 0.0,
+        "value_std_error": std_error,
         "value_min": float(values.min()),
         "value_max": float(values.max()),
         "quantiles": quantiles,

@@ -433,7 +433,6 @@ class VectorModel:
     n_law: object
     c_law: object
     q_law: object
-    coupling: str = "iid-independent"
     c_scale: float = 1.0
     _fingerprint: str = field(default="", repr=False, compare=False)
     # law of the martingale kind's final-generation marks: q_law, or unit
@@ -441,8 +440,6 @@ class VectorModel:
     mark_law: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.coupling != "iid-independent":
-            raise ModelError(f"unsupported coupling: {self.coupling!r}")
         if self.c_scale <= 0:
             raise ModelError("c_scale must be positive")
         zero_toll = (isinstance(self.q_law, DeterministicValue)
@@ -559,7 +556,7 @@ def make_model(spec, recursion_kind=None):
     """
     if not isinstance(spec, dict):
         raise ModelError("model section must be a mapping")
-    unknown = set(spec) - {"n", "c", "q", "c_scale", "coupling"}
+    unknown = set(spec) - {"n", "c", "q", "c_scale"}
     if unknown:
         raise ModelError(f"unknown model keys: {sorted(unknown)}")
     for key in ("n", "c", "q"):
@@ -572,7 +569,6 @@ def make_model(spec, recursion_kind=None):
         n_law=_build_law(spec["n"], _COUNT_FAMILIES, "count"),
         c_law=_build_law(spec["c"], _VALUE_FAMILIES, "weight"),
         q_law=_build_law(spec["q"], _VALUE_FAMILIES, "toll"),
-        coupling=spec.get("coupling", "iid-independent"),
         c_scale=float(c_scale),
     )
     if recursion_kind in _NONHOMOGENEOUS_KINDS and model.q_law.prob_positive() == 0.0:
@@ -624,9 +620,23 @@ def dominance_ratio(samples):
 
 
 def mean_se(samples):
-    """Sample mean and its iid standard error std(ddof=1) / sqrt(n), 0 for n = 1."""
+    """Sample mean and its standard error, the one rule for every MC mean.
+
+    The error is the iid std(ddof=1) / sqrt(n), never below
+    eps * log2(n) * mean|x|, and 0 for n = 1.  The floor states the
+    rounding of the mean itself: a pairwise sum of n terms errs by at
+    most about log2(n) * u * sum|x| with unit roundoff u = eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §4.2).
+    Taking eps for u doubles that bound, a margin for numpy's leaf
+    blocks of up to 128 terms, summed with eight running accumulators,
+    and for the division by n.  The floor binds only on a near-constant
+    sample, whose iid error would otherwise undercut its own rounding.
+    """
     n = samples.size
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = 0.0
+    if n > 1:
+        rounding = np.finfo(float).eps * math.log2(n) * np.abs(samples).mean()
+        se = float(max(samples.std(ddof=1) / math.sqrt(n), rounding))
     return float(samples.mean()), se
 
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .model import ModelError, MomentValue, moment_function, sum_moment
 
-_JACKKNIFE_BLOCKS = 100
-
 # Contraction factors within float noise of 1 make the geometric series
 # closures meaningless (the bound blows past 1e20); treat them as divergent.
 ETA_TOL = 1e-12
@@ -178,27 +176,3 @@ def _sum_interpolation_bound(model, beta, y_values, rng=None):
     csum = sum_moment(model, beta, rng=rng)
     return y_moment ** (beta / (p - 1.0)) * csum.value
 
-
-def jackknife_mean_se(samples, blocks=_JACKKNIFE_BLOCKS):
-    """Delete-one-block jackknife standard error of the sample mean.
-
-    Contiguous blocks; the block count drops to the sample size for
-    small samples (delete-one).  One value yields SE 0.
-    """
-    x = np.asarray(samples, dtype=float)
-    n = x.size
-    if n == 0:
-        raise BoundError("samples must be nonempty")
-    if n == 1:
-        return 0.0
-    b = min(blocks, n)
-    edges = np.linspace(0, n, b + 1).astype(np.int64)
-    total = float(x.sum())
-    leave_out = np.empty(b)
-    for i in range(b):
-        lo, hi = edges[i], edges[i + 1]
-        block = float(x[lo:hi].sum())
-        leave_out[i] = (total - block) / (n - (hi - lo))
-    center = leave_out.mean()
-    var = (b - 1.0) / b * float(((leave_out - center) ** 2).sum())
-    return math.sqrt(var)

@@ -16,8 +16,7 @@ PUBLIC_NAMES = [
     "TailError", "TailReport", "TiltError", "TiltedMeasure", "VectorModel",
     "check_conditions", "constructive_constant", "default_survival_grid",
     "fixed_point_mean_exact", "generation_moment_bound", "hill_estimator",
-    "hill_sweep", "jackknife_mean_se", "make_model", "make_tilted",
-    "moment_function",
+    "hill_sweep", "make_model", "make_tilted", "moment_function",
     "moment_function_deriv", "plateau_constant", "read_batch_csv",
     "run_batch", "solve_alpha", "sum_moment", "summary", "survival_points",
     "tail_constant_bounds", "tail_constant_closed_form",

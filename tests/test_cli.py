@@ -299,6 +299,9 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--kind", "foo", "solve-alpha"], None),
     (["--set", "verify.moment_betas=[.nan]", "verify"], None),
     (["--set", "truncation_beta=.nan", "simulate", "--force"], None),
+    (["--set", "truncation_beta=0", "simulate", "--force"], None),
+    (["--depth", "exact", "--set", "truncation_beta=-2", "simulate",
+      "--force"], None),
     (["--set", "tails.ks_threshold=.nan", "verify"], None),
     (["--set", "solver.tol=.nan", "solve-alpha"], None),
     (["--set", "solver.tol=.inf", "solve-alpha"], None),
@@ -330,6 +333,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "model.n.values=[1, 2]", "simulate", "--force"], None),
     (["--set", "model.n.values={0.5: 0.5, 1: 0.5}", "simulate", "--force"],
      None),
+    (["--set", "model.coupling=iid-independent", "simulate", "--force"],
+     None),
     # moments beyond the largest double read as infinite
     (["--set", "model.c.mu=7684", "solve-alpha"], None),
     (["--set", "model.c_scale=1.0e+300", "solve-alpha"], None),
@@ -344,7 +349,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["analyze"], (1, "# kind=iterate-from\n# base_kind=linear")),
 ], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
         "float-list-word", "float-list-short", "set-section", "kind-word",
-        "float-list-nan", "float-nan", "threshold-nan", "tol-nan", "tol-inf",
+        "float-list-nan", "float-nan", "truncation-beta-zero",
+        "truncation-beta-negative", "threshold-nan", "tol-nan", "tol-inf",
         "tol-zero", "verify-reps-one", "self-test-leaf", "bootstrap-one",
         "bootstrap-negative", "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
@@ -352,7 +358,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "model-mean-inf", "model-bound-inf", "model-mean-huge",
         "model-sigma2-nan",
         "model-mu-nan", "model-scale-nan", "model-unknown-param",
-        "model-support-list", "model-support-fraction",
+        "model-support-list", "model-support-fraction", "model-coupling",
         "model-moment-overflow", "model-scale-overflow",
         "value-row", "metadata-row", "not-utf8", "value-nan",
         "value-dropped", "kind-row", "iterate-kind-rows"])
@@ -375,6 +381,9 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
     assert len(err.strip().splitlines()) == 1
     if corrupt is not None:
         assert err.startswith("cannot read batch")
+    else:
+        # refused before sampling, not after a whole run
+        assert not (tmp_path / "batch.csv").exists()
 
 
 def test_set_reaches_an_integer_key(tmp_path, capsys):

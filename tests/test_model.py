@@ -228,6 +228,23 @@ def test_mean_se_is_the_iid_rule():
     assert mean_se(np.array([2.5])) == (2.5, 0.0)
 
 
+def test_mean_se_covers_its_own_rounding():
+    # model_b's closed-form H: numpy's pairwise mean of 10^4 copies lands
+    # 2.2e-16 off, 100 times the iid error std(ddof=1) / sqrt(n)
+    c = 0.8381195683928103
+    mean, se = mean_se(np.full(10_000, c))
+    assert se > 0
+    assert abs(mean - c) <= 3 * se
+
+
+@given(st.integers(2, 200), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_mean_se_nonnegative_and_finite(n, seed):
+    x = np.random.default_rng(seed).exponential(size=n)
+    _, se = mean_se(x)
+    assert se >= 0.0 and math.isfinite(se)
+
+
 def test_sum_moment_closed_form_small_counts(model_b):
     # N <= 1: E[(sum C)^2] = P(N=1) E[C^2] = 0.5 exp(2 ln2 + 1) = 2e
     v = sum_moment(model_b, 2.0)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from branchtail.engine import run_batch, truncation_bound
 from branchtail.model import (MomentValue, make_model, mean_se,
@@ -15,7 +14,6 @@ from branchtail.moments import (
     contractive,
     fixed_point_mean_exact,
     generation_moment_bound,
-    jackknife_mean_se,
 )
 
 from conftest import (K2_B03, K15_B03, RHO_2_B03, RHO_15_B03, RHO_HALF_B09,
@@ -263,29 +261,3 @@ def test_sum_inequality_on_lognormal_weights(model_b03):
 def test_sum_inequality_requires_exponent_above_one(model_b03):
     with pytest.raises(BoundError):
         _sum_interpolation_bound(model_b03, 1.0, np.ones(10))
-
-
-# jackknife standard errors
-
-
-def test_jackknife_matches_textbook_se():
-    rng = np.random.default_rng(3)
-    x = rng.normal(5.0, 2.0, 10_000)
-    se = jackknife_mean_se(x)
-    classic = x.std(ddof=1) / math.sqrt(x.size)
-    assert se == pytest.approx(classic, rel=0.15)
-
-
-def test_jackknife_negligible_for_constant_sample():
-    # dyadic constant: block means are exact, so the spread is exactly 0
-    assert jackknife_mean_se(np.full(1000, 0.5)) == 0.0
-    assert jackknife_mean_se(np.full(1000, 3.3)) < 1e-12
-
-
-@given(st.integers(10, 200), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_jackknife_nonnegative_and_finite(n, seed):
-    x = np.random.default_rng(seed).exponential(size=n)
-    se = jackknife_mean_se(x, blocks=min(20, n))
-    assert se >= 0.0 and math.isfinite(se)
-
