@@ -30,7 +30,6 @@ from .engine import (
 )
 from .moments import (
     BoundError,
-    MomentReport,
     constructive_constant,
     fixed_point_mean_exact,
     generation_moment_bound,
@@ -64,4 +63,4 @@ from .constants import (
     tail_constant_report,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -36,14 +36,15 @@ from .engine import (
     EngineError,
     _iterate_forest,
     _martingale_forest,
+    _validate_kind,
     read_batch_csv,
     run_batch,
     summary,
     truncation_bound,
     write_batch_csv,
 )
-from .model import ModelError, make_model, mean_se
-from .moments import generation_moment_bound, make_report
+from .model import ModelError, make_model, mean_se, verdict
+from .moments import generation_moment_bound
 from .renewal import _MAX_CONVOLUTION, TiltError, verify_product_measure
 from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
                     DEFAULT_QUANTILE_BAND, TailError, ks_distance, tail_report)
@@ -234,11 +235,11 @@ def _output_dir(config):
 
 
 def _write_json(path, payload):
-    payload = dict(payload)
+    payload = _jsonable(payload)
     payload["schema"] = SCHEMA
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     print(path)
 
@@ -254,11 +255,18 @@ def _write_csv(path, header, rows):
 
 
 def _jsonable(value):
+    """A strict-JSON copy: infinities as "inf"/"-inf", NaN as null."""
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     value = float(value)
+    if math.isnan(value):
+        return None
     if math.isinf(value):
-        return "inf"
+        return "inf" if value > 0 else "-inf"
     return value
 
 
@@ -297,7 +305,7 @@ def cmd_solve_alpha(config):
             "name": e.name,
             "status": e.status,
             "evidence": e.evidence,
-            "value": _jsonable(e.value),
+            "value": e.value,
             "std_error": e.std_error,
         } for e in conditions.entries],
         "passed": conditions.overall_pass,
@@ -346,7 +354,7 @@ def cmd_simulate(config, force=False):
         bound = truncation_bound(
             model, config["truncation_beta"], config["depth"],
             rng=np.random.default_rng(config["seed"]))
-    info["truncation_bound"] = _jsonable(bound)
+    info["truncation_bound"] = bound
     info["truncation_beta"] = config["truncation_beta"]
     _write_json(os.path.join(out_dir, "summary.json"), info)
     return 0
@@ -364,6 +372,8 @@ def cmd_analyze(config, batch_path):
               file=sys.stderr)
         return 1
     tails_cfg = config["tails"]
+    # the bootstrap keeps the seed's own stream; the MC H gets a child
+    (constant_seed,) = np.random.SeedSequence(config["seed"]).spawn(1)
     try:
         report = tail_report(
             batch,
@@ -388,7 +398,7 @@ def cmd_analyze(config, batch_path):
         sol = _solve(config, model)
         constant = tail_constant_report(
             model, sol, batch.kind, r_batch=batch,
-            rng=np.random.default_rng(config["seed"]))
+            rng=np.random.default_rng(constant_seed))
         constant_payload = dict(constant.to_dict(), available=True)
     except (SolverError, ConstantError) as err:
         constant_payload["reason"] = str(err)
@@ -418,39 +428,30 @@ def _verify_renewal(config, model, rng):
     return checks
 
 
-def _verify_moment_grid(config, model, rng, corrupt=False):
-    """Generation-moment bound cells with their preconditions."""
+def _verify_moment_grid(config, model, rng, bound_rng, corrupt=False):
+    """Generation-moment bound cells; ``bound_rng`` feeds MC sum moments."""
     cells = []
     depths = sorted(set(config["verify"]["moment_depths"]))
     betas = config["verify"]["moment_betas"]
     w = _martingale_forest(model, depths, config["verify"]["moment_reps"],
                            config["budget"], rng)
-    bound_rng = np.random.default_rng(config["seed"])
     for n in depths:
         for beta in betas:
             cell = {"check": "generation-moment-bound", "n": n, "beta": beta}
+            cells.append(cell)
             bound = generation_moment_bound(model, beta, n, rng=bound_rng)
-            if bound.diverged:
+            if math.isinf(bound.value):
                 cell.update(status="precondition-unmet", holds=None)
-                cells.append(cell)
                 continue
             estimate, se = mean_se(w[n] ** beta)
             bound_value = bound.value
+            cell["status"] = "checked"
             if corrupt:
                 bound_value = estimate / 2.0  # self-test: must now fail
                 cell["status"] = "self-test-corrupted"
-            else:
-                cell["status"] = "checked"
-            report = make_report("W_n", beta, estimate, se, bound_value,
-                                 bound.method)
-            cell.update(
-                estimate=report.estimate,
-                std_error=report.std_error,
-                bound=report.bound,
-                bound_method=report.bound_name,
-                holds=report.holds,
-            )
-            cells.append(cell)
+            cell.update(estimate=estimate, std_error=se, bound=bound_value,
+                        bound_method=bound.method,
+                        holds=verdict(estimate, bound_value, se))
     return cells
 
 
@@ -458,6 +459,11 @@ def _verify_iteration(config, model, rng):
     starts = config["verify"]["iterate_starts"]
     n = config["verify"]["iterate_depth"]
     kind = config["kind"] if config["kind"] in ("linear", "max") else "linear"
+    try:
+        _validate_kind(model, kind)  # a toll fixed at 0 has no iterate
+    except EngineError as err:
+        return [{"check": "iteration-convergence", "n": n, "holds": None,
+                 "status": "precondition-unmet", "reason": str(err)}]
     first, second = _iterate_forest(model, kind, n, starts,
                                     config["verify"]["iterate_reps"],
                                     config["budget"], rng)
@@ -469,18 +475,18 @@ def _verify_iteration(config, model, rng):
         "starts": [float(s) for s in starts],
         "ks_distance": ks,
         "threshold": threshold,
-        "holds": bool(ks <= threshold),
+        "holds": verdict(ks, threshold),
     }]
 
 
 def cmd_verify(config, corrupt_bound_self_test=False):
     model = make_model(config["model"])
-    # one generator per check: renewal keeps the seed's own stream
-    grid_rng, iterate_rng = map(np.random.default_rng,
-                                np.random.SeedSequence(config["seed"]).spawn(2))
+    # one generator per use: renewal keeps the seed's own stream
+    grid_rng, iterate_rng, bound_rng = map(
+        np.random.default_rng, np.random.SeedSequence(config["seed"]).spawn(3))
     checks = _verify_renewal(config, model,
                              np.random.default_rng(config["seed"]))
-    checks.extend(_verify_moment_grid(config, model, grid_rng,
+    checks.extend(_verify_moment_grid(config, model, grid_rng, bound_rng,
                                       corrupt=corrupt_bound_self_test))
     checks.extend(_verify_iteration(config, model, iterate_rng))
     flags = [c.get("holds", c.get("agree")) for c in checks]

@@ -362,9 +362,6 @@ _COUNT_FAMILIES = {law.family: law for law in (
 _VALUE_FAMILIES = {law.family: law for law in (
     DeterministicValue, LognormalValue, UniformValue, BetaScaledValue)}
 
-_NONHOMOGENEOUS_KINDS = ("linear", "max", "max-plus")
-
-
 def _finite_number(value):
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -404,16 +401,15 @@ def _build_law(section, families, what):
 class MomentValue:
     """A moment functional value with its estimation provenance.
 
-    ``std_error`` is exactly 0 for closed-form values.  ``diverged`` marks
-    quantities reported as infinite instead of a float; ``suspect`` marks
-    Monte Carlo estimates whose sample maxima dominate the mean, a symptom
-    of an infinite-variance (or infinite-mean) integrand.
+    ``std_error`` is exactly 0 for closed-form values.  A divergent
+    quantity has an infinite ``value``; ``suspect`` marks Monte Carlo
+    estimates whose sample maxima dominate the mean, a symptom of an
+    infinite-variance (or infinite-mean) integrand.
     """
 
     value: float
     method: str  # "closed-form" | "monte-carlo"
     std_error: float = 0.0
-    diverged: bool = False
     suspect: bool = False
 
     def __post_init__(self):
@@ -542,17 +538,11 @@ def resample_children(model, values, size, rng):
     return counts, weights * draws
 
 
-def make_model(spec, recursion_kind=None):
+def make_model(spec):
     """Build a validated VectorModel from a config section.
 
-    Parameters
-    ----------
-    spec : dict
-        Keys ``n``, ``c``, ``q`` (each a family section) and optional
-        ``c_scale``.
-    recursion_kind : str, optional
-        Intended use; a toll law fixed at 0 is rejected for the
-        nonhomogeneous kinds (linear, max, max-plus).
+    ``spec`` holds the keys ``n``, ``c``, ``q`` (each a family section)
+    and an optional ``c_scale``.
     """
     if not isinstance(spec, dict):
         raise ModelError("model section must be a mapping")
@@ -565,18 +555,12 @@ def make_model(spec, recursion_kind=None):
     c_scale = spec.get("c_scale", 1.0)
     if not _finite_number(c_scale):
         raise ModelError(f"c_scale must be a finite number, got {c_scale!r}")
-    model = VectorModel(
+    return VectorModel(
         n_law=_build_law(spec["n"], _COUNT_FAMILIES, "count"),
         c_law=_build_law(spec["c"], _VALUE_FAMILIES, "weight"),
         q_law=_build_law(spec["q"], _VALUE_FAMILIES, "toll"),
         c_scale=float(c_scale),
     )
-    if recursion_kind in _NONHOMOGENEOUS_KINDS and model.q_law.prob_positive() == 0.0:
-        raise ModelError(
-            f"recursion kind {recursion_kind!r} requires P(Q > 0) > 0; "
-            "got a toll law fixed at 0"
-        )
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +576,8 @@ def moment_function(model, theta):
     if theta < 0:
         raise ModelError("moment order must be nonnegative")
     value = model.n_law.mean() * model.c_moment(theta)
-    if not math.isfinite(value):
-        return MomentValue(math.inf, "closed-form", diverged=True)
-    return MomentValue(value, "closed-form")
+    return MomentValue(value if math.isfinite(value) else math.inf,
+                       "closed-form")
 
 
 def moment_function_deriv(model, theta):
@@ -602,9 +585,8 @@ def moment_function_deriv(model, theta):
     if theta <= 0:
         raise ModelError("moment order must be positive")
     value = model.n_law.mean() * model.c_log_weighted_moment(theta)
-    if not math.isfinite(value):
-        return MomentValue(math.inf, "closed-form", diverged=True)
-    return MomentValue(value, "closed-form")
+    return MomentValue(value if math.isfinite(value) else math.inf,
+                       "closed-form")
 
 
 def dominance_ratio(samples):
@@ -638,6 +620,14 @@ def mean_se(samples):
         rounding = np.finfo(float).eps * math.log2(n) * np.abs(samples).mean()
         se = float(max(samples.std(ddof=1) / math.sqrt(n), rounding))
     return float(samples.mean()), se
+
+
+Z_VERDICT = 3.0  # standard errors a verdict allows above its limit
+
+
+def verdict(value, limit, std_error=0.0):
+    """The one rule of every ``verify`` check: value <= limit + 3 SE."""
+    return bool(value <= limit + Z_VERDICT * std_error)
 
 
 def sum_moment(model, beta, reps=100_000, rng=None):

@@ -7,12 +7,11 @@ on a constructive constant K_beta built by one induction over the moment
 orders.  This module computes the exact mean of the fixed point and
 transcribes the constant literally (no sharpening).
 
-All bounds are one-sided: a report ``holds`` when the empirical moment
-does not exceed the bound by more than three standard errors.
+All bounds are one-sided; ``verify`` judges them by ``model.verdict``.
+A divergent bound is ``inf``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,46 +29,6 @@ def contractive(eta):
 
 class BoundError(ModelError):
     """A bound was requested outside its regime of validity."""
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """One verified moment inequality.
-
-    Attributes
-    ----------
-    target : str
-        What the moment is taken of ("W_n", "R", "R^(n)").
-    beta : float
-        Moment order.
-    estimate, std_error : float
-        Monte Carlo estimate of the moment and its standard error.
-    bound : float
-        Analytic upper bound (may be ``inf`` in non-contractive regimes).
-    bound_name : str
-        Which bound produced the number.
-    holds : bool
-        ``estimate <= bound + 3 * std_error``, computed exactly so.
-    """
-
-    target: str
-    beta: float
-    estimate: float
-    std_error: float
-    bound: float
-    bound_name: str
-    holds: bool
-
-    def __post_init__(self):
-        if not (self.bound >= 0.0):
-            raise BoundError("moment bounds are nonnegative")
-
-
-def make_report(target, beta, estimate, std_error, bound, bound_name):
-    """Assemble a MomentReport, deriving ``holds`` from the stated rule."""
-    holds = bool(estimate <= bound + 3.0 * std_error)
-    return MomentReport(target, float(beta), float(estimate), float(std_error),
-                        float(bound), bound_name, holds)
 
 
 def fixed_point_mean_exact(model):
@@ -92,8 +51,10 @@ def constructive_constant(model, beta, rng=None):
     K_1 = E[Q] over the orders x = 2, ..., ceil(beta) - 1 and then beta.
     Order x builds on below = ceil(x) - 1 with eta = rho_x v rho:
     K_x = E[Q^x] + E[(sum C)^x] K_below^(x/below) / eta
-    / (1 - eta^((x - below)/below)), finite only while eta < 1.  The
-    constant is not optimized; it makes truncation certificates explicit.
+    / (1 - eta^((x - below)/below)), finite only while eta < 1.  At
+    eta = 0 the weights sum to 0 almost surely, the second term vanishes
+    and K_x = E[Q^x].  The constant is not optimized; it makes
+    truncation certificates explicit.
 
     Parameters
     ----------
@@ -106,7 +67,7 @@ def constructive_constant(model, beta, rng=None):
     Returns
     -------
     MomentValue
-        ``diverged`` is set (value inf) outside the contractive regime.
+        Infinite outside the contractive regime.
     """
     if beta < 1.0:
         raise BoundError("constructive constant is defined for beta >= 1")
@@ -121,7 +82,10 @@ def constructive_constant(model, beta, rng=None):
         below = math.ceil(x) - 1
         eta = max(moment_function(model, x).value, rho)
         if not contractive(eta):
-            return MomentValue(math.inf, method, diverged=True)
+            return MomentValue(math.inf, method)
+        if eta == 0.0:
+            k = model.q_moment(x)
+            continue
         csum = sum_moment(model, x, rng=rng)
         if csum.method == "monte-carlo":
             method = "monte-carlo"
@@ -137,7 +101,8 @@ def generation_moment_bound(model, beta, n, rng=None):
 
     beta <= 1: E[Q^beta] rho_beta^n by subadditivity, valid with no
     contraction assumption.  beta > 1: K_beta (rho v rho_beta)^n, which
-    is ``inf`` (diverged flag) outside the contractive regime.
+    is ``inf`` outside the contractive regime.  A NaN bound, such as an
+    infinite E[Q^beta] times rho_beta^n = 0, raises BoundError.
 
     Returns
     -------
@@ -148,18 +113,20 @@ def generation_moment_bound(model, beta, n, rng=None):
         raise BoundError("generation index must be >= 0")
     if beta <= 0:
         raise BoundError("moment order must be positive")
-    if beta <= 1.0:
-        rho_beta = moment_function(model, beta).value
-        value = model.q_moment(beta) * rho_beta ** n
-        return MomentValue(value, "generation-subadditive")
-    k_beta = constructive_constant(model, beta, rng=rng)
-    if k_beta.diverged:
-        return MomentValue(math.inf, "generation-constructive", diverged=True)
-    rho = moment_function(model, 1.0).value
     rho_beta = moment_function(model, beta).value
-    eta = max(rho, rho_beta)
-    return MomentValue(k_beta.value * eta ** n, "generation-constructive",
-                       k_beta.std_error, suspect=k_beta.suspect)
+    if beta <= 1.0:
+        bound = MomentValue(model.q_moment(beta) * rho_beta ** n,
+                            "generation-subadditive")
+    else:
+        k_beta = constructive_constant(model, beta, rng=rng)
+        if math.isinf(k_beta.value):
+            return MomentValue(math.inf, "generation-constructive")
+        eta = max(moment_function(model, 1.0).value, rho_beta)
+        bound = MomentValue(k_beta.value * eta ** n, "generation-constructive",
+                            k_beta.std_error, suspect=k_beta.suspect)
+    if not bound.value >= 0.0:
+        raise BoundError("moment bounds are nonnegative")
+    return bound
 
 
 def _sum_interpolation_bound(model, beta, y_values, rng=None):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (LognormalValue, ModelError, UniformValue, dominance_ratio,
-                    mean_se, moment_function, moment_function_deriv)
+                    mean_se, moment_function, moment_function_deriv, verdict)
 from .engine import DEFAULT_BUDGET, generation_frontier
 
 _MASS_TOL = 1e-10
@@ -43,7 +43,6 @@ class TiltedMeasure:
     total_mass: float
     mean: float
     family: str
-    sampler_kind: str
     loc: float
     scale: float
 
@@ -83,12 +82,11 @@ def make_tilted(model, alpha):
     c_law = model.c_law
     if isinstance(c_law, LognormalValue):
         loc = c_law.mu + log_scale + alpha * c_law.sigma2
-        return TiltedMeasure(alpha, total, mean, "lognormal",
-                             "closed-form-tilt", loc, math.sqrt(c_law.sigma2))
+        return TiltedMeasure(alpha, total, mean, "lognormal", loc,
+                             math.sqrt(c_law.sigma2))
     if isinstance(c_law, UniformValue):
         top = math.log(c_law.b) + log_scale
-        return TiltedMeasure(alpha, total, mean, "uniform",
-                             "closed-form-tilt", top, 0.0)
+        return TiltedMeasure(alpha, total, mean, "uniform", top, 0.0)
     raise TiltError(
         f"no closed-form tilt for weight family {c_law.family!r}"
     )
@@ -127,7 +125,7 @@ def _resolve_g(name, threshold):
 class DualEstimateReport:
     """Tree-side versus convolution-side estimate of one functional.
 
-    ``agree`` is |lhs - rhs| <= 3 * sqrt(lhs_se^2 + rhs_se^2).
+    ``agree`` is ``model.verdict(|lhs - rhs|, 0, hypot(lhs_se, rhs_se))``.
     ``heavy_flag`` warns that the tree-side sum was dominated by a few
     replications (alpha-th powers are heavy); the report stands but its
     SE deserves suspicion.
@@ -214,6 +212,6 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
         rhs, rhs_se = mean_se(g_fn(walks))
         rhs_method = "monte-carlo"
 
-    agree = abs(lhs - rhs) <= 3.0 * math.hypot(lhs_se, rhs_se)
+    agree = verdict(abs(lhs - rhs), 0.0, math.hypot(lhs_se, rhs_se))
     return DualEstimateReport(n, g_name, lhs, lhs_se, rhs, rhs_se,
                               agree, bool(heavy), rhs_method)

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "BoundError", "ConditionReport", "ConstantError",
     "ContractionRootError", "CramerSolution", "DEFAULT_BUDGET",
     "DualEstimateReport", "EngineError", "HillEstimate", "ModelError",
-    "MomentReport", "MomentValue", "NoSignChangeError", "PlateauEstimate",
+    "MomentValue", "NoSignChangeError", "PlateauEstimate",
     "SampleBatch", "SolverError", "TEST_FUNCTIONS", "TailConstantReport",
     "TailError", "TailReport", "TiltError", "TiltedMeasure", "VectorModel",
     "check_conditions", "constructive_constant", "default_survival_grid",

@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
+from branchtail import cli
 from branchtail.cli import DEFAULTS, ConfigError, load_config, main
 from branchtail.engine import (DEFAULT_BUDGET, _iterate_forest,
                                _martingale_forest, run_batch,
@@ -640,6 +641,109 @@ def test_verify_out_of_memory_exits_one_in_one_line(tmp_path, capsys,
     assert main(["--config", path, "verify"]) == 1
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 14.6 TiB for an array\n")
+
+
+def test_verify_zero_toll_martingale_skips_only_the_iteration(tmp_path,
+                                                            capsys):
+    # the iterate folds Q, which is 0 here; the other checks still run
+    spec = dict(model_a_spec(), q={"family": "deterministic", "value": 0.0})
+    path = write_config(
+        tmp_path, spec, kind="homogeneous-martingale",
+        verify={"renewal_n": [1], "renewal_reps": 2000,
+                "moment_depths": [0, 2], "moment_betas": [0.5],
+                "moment_reps": 2000, "iterate_reps": 2000},
+        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "verify"]) in (0, 3)
+    assert "error" not in capsys.readouterr().err
+    payload = read_json(tmp_path / "out" / "verification.json")
+    names = [c["check"] for c in payload["checks"]]
+    assert names.count("measure-factorization") == 3
+    assert names.count("generation-moment-bound") == 2
+    (iteration,) = [c for c in payload["checks"]
+                    if c["check"] == "iteration-convergence"]
+    assert iteration["status"] == "precondition-unmet"
+    assert iteration["holds"] is None
+    assert "P(Q > 0) > 0" in iteration["reason"]
+
+
+@pytest.mark.parametrize("law", ["n={family: deterministic, value: 0}",
+                                 "c={family: deterministic, value: 0.0}"],
+                         ids=["no-children", "zero-weights"])
+def test_verify_without_weights_writes_a_report(tmp_path, capsys, law):
+    # sum C = 0 almost surely: the constructive constant is E[Q^beta]
+    path = quick_verify_config(tmp_path)
+    assert main(["--config", path, "--set", "model." + law,
+                 "verify"]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    payload = read_json(tmp_path / "out" / "verification.json")
+    cells = {(c["n"], c["beta"]): c for c in payload["checks"]
+             if c["check"] == "generation-moment-bound"}
+    assert cells[(0, 2.0)]["bound"] == 1.0  # E[Q^2] for the unit toll
+    assert cells[(2, 2.0)]["bound"] == 0.0
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+    with open(path) as handle:
+        return json.load(handle, parse_constant=refuse)
+
+
+def test_reports_are_strict_json_when_moments_overflow(tmp_path):
+    # E[Q^beta] = exp(1000 beta^2) overflows for beta >= 1
+    spec = dict(model_b_spec(), q={"family": "lognormal", "mu": 0.0,
+                                   "sigma2": 2000.0})
+    path = write_config(
+        tmp_path, spec, depth=None, reps=20_000, seed=2,
+        verify={"renewal_n": [1], "renewal_reps": 2000,
+                "moment_depths": [0, 2], "moment_betas": [0.5, 1.0],
+                "moment_reps": 2000, "iterate_reps": 2000},
+        output_dir=str(tmp_path / "out"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "solve-alpha"]) == 2  # E[Q^alpha] = inf
+    assert main(["--config", path, "simulate", "--force"]) == 0
+    assert main(["--config", path, "analyze", "--batch",
+                 str(out / "batch.csv")]) == 0
+    assert main(["--config", path, "verify"]) in (0, 3)
+    reports = sorted(out.glob("*.json"))
+    assert len(reports) == 5
+    for report in reports:
+        _strict_json(report)
+    constant = _strict_json(out / "constant_report.json")
+    assert constant["lower_bound"] == "inf"
+    cells = [c for c in _strict_json(out / "verification.json")["checks"]
+             if c["check"] == "generation-moment-bound"]
+    # an infinite bound is no check at all
+    assert [c["status"] for c in cells] == [
+        "checked", "precondition-unmet", "checked", "precondition-unmet"]
+
+
+def test_estimators_draw_from_independent_streams(analyzed, tmp_path,
+                                                  monkeypatch):
+    seen = {}
+
+    def spy(name, rng_at=None):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            rng = kwargs["rng"] if rng_at is None else args[rng_at]
+            seen.setdefault(name, rng.bit_generator.state)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("tail_report", "tail_constant_report",
+                 "generation_moment_bound"):
+        spy(name)
+    spy("verify_product_measure", rng_at=5)
+    _, out = analyzed
+    path = write_config(tmp_path, model_b_spec(0.9), seed=13,
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "analyze", "--batch",
+                 str(out / "batch.csv")]) == 0
+    assert seen["tail_report"] != seen["tail_constant_report"]
+    assert main(["--config", quick_verify_config(tmp_path),
+                 "verify"]) in (0, 3)
+    assert seen["verify_product_measure"] != seen["generation_moment_bound"]
 
 
 def test_forest_w_n_has_the_martingale_law(model_a):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchtail.engine import EngineError, run_batch
 from branchtail.model import (
     ModelError,
     make_model,
@@ -12,6 +13,7 @@ from branchtail.model import (
     moment_function_deriv,
     reduce_to_parents,
     sum_moment,
+    verdict,
 )
 
 from conftest import MU_A, MU_B, SUM2_A, model_a_spec, model_b_spec
@@ -44,13 +46,15 @@ def test_make_model_leaf_only_tree():
     assert m.n_law.prob_zero() == 1.0
 
 
-def test_make_model_rejects_zero_toll_for_nonhomogeneous():
-    spec = {"n": det(1), "c": det(0.5), "q": det(0.0)}
-    with pytest.raises(ModelError, match="P\\(Q > 0\\)"):
-        make_model(spec, recursion_kind="linear")
-    # acceptable when the intended recursion carries no toll
-    make_model(spec, recursion_kind="homogeneous-martingale")
-    make_model(spec)
+def test_zero_toll_is_refused_by_run_batch_not_make_model():
+    # the model is valid; only the kinds that fold Q need P(Q > 0) > 0
+    m = make_model({"n": det(1), "c": det(0.5), "q": det(0.0)})
+    for kind in ("linear", "max", "max-plus"):
+        with pytest.raises(EngineError, match=f"kind '{kind}' requires "
+                           "P\\(Q > 0\\) > 0"):
+            run_batch(m, kind, 3, 5, seed=0)
+    batch = run_batch(m, "homogeneous-martingale", 3, 5, seed=0)
+    assert np.all(batch.values == 0.5 ** 3)  # unit marks at generation 3
 
 
 def test_make_model_rejects_unknown_family_and_bad_params():
@@ -243,6 +247,25 @@ def test_mean_se_nonnegative_and_finite(n, seed):
     x = np.random.default_rng(seed).exponential(size=n)
     _, se = mean_se(x)
     assert se >= 0.0 and math.isfinite(se)
+
+
+_FINITE = st.floats(-1e300, 1e300)
+
+
+@given(_FINITE, _FINITE, st.floats(0.0, 1e300))
+@settings(max_examples=200, deadline=None)
+def test_verdict_gives_the_bits_of_each_rule_it_replaces(a, b, se):
+    # moment cell, factorization and iteration, as each was first written
+    assert verdict(a, b, se) == (a <= b + 3.0 * se)
+    assert verdict(abs(a - b), 0.0, se) == (abs(a - b) <= 3.0 * se)
+    assert verdict(a, b) == (a <= b)
+
+
+def test_verdict_boundaries():
+    assert verdict(1.0, 1.0)
+    assert not verdict(math.nextafter(1.0, 2.0), 1.0)
+    assert verdict(1.3, 1.0, 0.1) and not verdict(1.31, 1.0, 0.1)
+    assert verdict(1e300, math.inf) and not verdict(math.nan, 1.0, 1.0)
 
 
 def test_sum_moment_closed_form_small_counts(model_b):

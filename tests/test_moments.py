@@ -42,13 +42,13 @@ def test_contractive_guard_is_strict():
 
 def test_constructive_constant_integer_oracle(model_b03):
     k2 = constructive_constant(model_b03, 2.0)
-    assert not k2.diverged
+    assert not math.isinf(k2.value)
     assert k2.value == pytest.approx(K2_B03, rel=1e-12)
 
 
 def test_constructive_constant_fractional_oracle(model_b03):
     k15 = constructive_constant(model_b03, 1.5)
-    assert not k15.diverged
+    assert not math.isinf(k15.value)
     assert k15.value == pytest.approx(K15_B03, rel=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_constructive_constant_chain_hand_value():
     # K_2 = E[Q^2] + (0.25 * K_1^2) / eta * 1 / (1 - eta) = 2 at eta = 1/2
     m = make_model({"n": det(1), "c": det(0.5), "q": det(1.0)})
     k2 = constructive_constant(m, 2.0)
-    assert not k2.diverged
+    assert not math.isinf(k2.value)
     assert k2.value == pytest.approx(2.0, rel=1e-12)
     assert k2.method == "closed-form"
     # and it dominates the exact generation moments E[W_n^2] = 4^-n
@@ -66,9 +66,22 @@ def test_constructive_constant_chain_hand_value():
 
 
 def test_constructive_constant_diverges_without_contraction(model_a, model_b):
-    assert constructive_constant(model_a, 2.0).diverged
+    assert math.isinf(constructive_constant(model_a, 2.0).value)
     # the calibrated subcritical model has mean ratio exactly 1
-    assert constructive_constant(model_b, 2.0).diverged
+    assert math.isinf(constructive_constant(model_b, 2.0).value)
+
+
+@pytest.mark.parametrize("n, c", [(0, 0.5), (2, 0.0)])
+def test_constructive_constant_without_weights_is_the_toll_moment(n, c):
+    # sum C = 0 almost surely, so eta = 0: K_x = E[Q^x] at every order,
+    # and the bound is K_beta at n = 0 and 0 beyond
+    m = make_model({"n": det(n), "c": det(c),
+                    "q": {"family": "uniform", "b": 2.0}})
+    for beta in (1.5, 2.0, 3.0):
+        k = constructive_constant(m, beta)
+        assert k.value == m.q_moment(beta)
+        assert generation_moment_bound(m, beta, 0).value == k.value
+        assert generation_moment_bound(m, beta, 3).value == 0.0
 
 
 # The first form of the constant: integer orders by their own induction,
@@ -85,7 +98,7 @@ def _first_k_integer(model, p, rng=None):
         rho_p = moment_function(model, float(step)).value
         eta = max(rho_p, rho)
         if not contractive(eta):
-            return MomentValue(math.inf, method, diverged=True)
+            return MomentValue(math.inf, method)
         csum = sum_moment(model, float(step), rng=rng)
         if csum.method == "monte-carlo":
             method = "monte-carlo"
@@ -101,13 +114,13 @@ def _first_constructive_constant(model, beta, rng=None):
     if p == beta:
         return _first_k_integer(model, int(beta), rng=rng)
     base = _first_k_integer(model, p - 1, rng=rng)
-    if base.diverged:
+    if math.isinf(base.value):
         return base
     rho = moment_function(model, 1.0).value
     rho_beta = moment_function(model, beta).value
     eta = max(rho, rho_beta)
     if not contractive(eta):
-        return MomentValue(math.inf, base.method, diverged=True)
+        return MomentValue(math.inf, base.method)
     gamma = beta / (p - 1.0)
     csum = sum_moment(model, beta, rng=rng)
     method = base.method
@@ -133,7 +146,7 @@ def _first_truncation_bound(model, beta, depth, rng=None):
     if not contractive(eta):
         return math.inf
     k_beta = _first_constructive_constant(model, beta, rng=rng)
-    if k_beta.diverged:
+    if math.isinf(k_beta.value):
         return math.inf
     return (k_beta.value * eta ** (depth + 1)
             / (1.0 - eta ** (1.0 / beta)) ** beta)
@@ -159,7 +172,7 @@ def test_single_induction_matches_the_first_form_bit_for_bit(name, beta):
     m = make_model(_PIN_MODELS[name])
 
     def fields(k):
-        return k.value.hex(), k.method, k.diverged, k.suspect
+        return k.value.hex(), k.method, k.suspect
 
     k = constructive_constant(m, beta, rng=np.random.default_rng(17))
     ref = _first_constructive_constant(m, beta, rng=np.random.default_rng(17))
@@ -167,7 +180,8 @@ def test_single_induction_matches_the_first_form_bit_for_bit(name, beta):
     mc = name == "poisson-uniform" and beta > 1.0
     assert k.method == ("monte-carlo" if mc else "closed-form")
     if name != "b03":
-        assert k.diverged == (name == "noncontractive" and beta > 1.0)
+        assert math.isinf(k.value) == (name == "noncontractive"
+                                       and beta > 1.0)
     for depth in (0, 3, 20):
         got = truncation_bound(m, beta, depth, rng=np.random.default_rng(17))
         want = _first_truncation_bound(m, beta, depth,
@@ -178,9 +192,9 @@ def test_single_induction_matches_the_first_form_bit_for_bit(name, beta):
                                             rng=np.random.default_rng(17))
             eta = max(moment_function(m, 1.0).value,
                       moment_function(m, beta).value)
-            want = ref.value * eta ** depth if not ref.diverged else math.inf
-            assert (bound.value.hex(), bound.diverged, bound.suspect) == (
-                want.hex(), ref.diverged, ref.suspect)
+            want = ref.value * eta ** depth
+            assert (bound.value.hex(), bound.suspect) == (want.hex(),
+                                                          ref.suspect)
 
 
 def test_constructive_constant_rejects_small_exponent(model_b03):
@@ -207,7 +221,17 @@ def test_generation_bound_constructive_route(model_b03):
 
 
 def test_generation_bound_diverged_outside_contraction(model_a):
-    assert generation_moment_bound(model_a, 1.5, 8).diverged
+    assert math.isinf(generation_moment_bound(model_a, 1.5, 8).value)
+
+
+def test_generation_bound_refuses_nan():
+    # an infinite E[Q^beta] times rho_beta^n = 0 has no value
+    m = make_model({"n": det(0), "c": det(0.5),
+                    "q": {"family": "lognormal", "mu": 0.0,
+                          "sigma2": 2000.0}})
+    assert math.isinf(generation_moment_bound(m, 1.0, 0).value)
+    with pytest.raises(BoundError, match="nonnegative"):
+        generation_moment_bound(m, 1.0, 1)
 
 
 def test_generation_moment_within_bound(model_b03):
