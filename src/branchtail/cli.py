@@ -31,13 +31,13 @@ import yaml
 from .constants import ConstantError, tail_constant_report
 from .cramer import DEFAULT_BRACKET, SolverError, check_conditions, solve_alpha
 from .engine import (
-    _KINDS,
     DEFAULT_BUDGET,
+    KINDS,
     EngineError,
     _iterate_forest,
     _martingale_forest,
-    _validate_kind,
     read_batch_csv,
+    recursion,
     run_batch,
     summary,
     truncation_bound,
@@ -188,8 +188,8 @@ def load_config(path, sets=(), **flag_overrides):
             value = value[key]
         if not holds(value):
             raise ConfigError(f"{dotted} must be {wanted}, got {value!r}")
-    if config["kind"] not in _KINDS:
-        raise ConfigError(f"kind must be one of {', '.join(_KINDS)}, "
+    if config["kind"] not in KINDS:
+        raise ConfigError(f"kind must be one of {', '.join(KINDS)}, "
                           f"got {config['kind']!r}")
     return config
 
@@ -349,8 +349,8 @@ def cmd_simulate(config, force=False):
     print(batch_path)
     info = summary(batch)
     bound = None
-    if (config["depth"] is not None
-            and config["kind"] != "homogeneous-martingale"):
+    _, toll = KINDS[config["kind"]]
+    if config["depth"] is not None and toll is not None:
         bound = truncation_bound(
             model, config["truncation_beta"], config["depth"],
             rng=np.random.default_rng(config["seed"]))
@@ -458,9 +458,10 @@ def _verify_moment_grid(config, model, rng, bound_rng, corrupt=False):
 def _verify_iteration(config, model, rng):
     starts = config["verify"]["iterate_starts"]
     n = config["verify"]["iterate_depth"]
-    kind = config["kind"] if config["kind"] in ("linear", "max") else "linear"
+    children, toll = KINDS[config["kind"]]
+    kind = config["kind"] if children is toll else "linear"
     try:
-        _validate_kind(model, kind)  # a toll fixed at 0 has no iterate
+        recursion(kind, model)  # a toll fixed at 0 has no iterate
     except EngineError as err:
         return [{"check": "iteration-convergence", "n": n, "holds": None,
                  "status": "precondition-unmet", "reason": str(err)}]

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import recursion
 from .model import (ModelError, MomentValue, dominance_ratio, mean_se,
                     moment_function, moment_function_deriv,
                     reduce_to_parents, resample_children)
@@ -28,8 +29,6 @@ _MC_SEED = 0x7C057A17
 _MIN_BATCH = 100_000
 _MIN_REPS = 10_000
 _INTEGER_TOL = 1e-9
-
-_MC_KINDS = ("linear", "max", "homogeneous-martingale")
 
 
 class ConstantError(ModelError):
@@ -63,15 +62,16 @@ def tail_constant_closed_form(model, alpha, kind):
         Unsupported (kind, alpha) pair, or a divergent mean where the
         formula needs E[R].
     """
+    children, toll = recursion(kind)
+    if children is not np.add:
+        raise ConstantError(f"no closed form for kind {kind!r}")
     a = _alpha_integer(alpha)
-    if kind == "homogeneous-martingale":
+    if toll is None:
         if a != 2:
             raise ConstantError(
                 "martingale closed form is available at alpha = 2 only")
         mu = moment_function_deriv(model, 2.0).value
         return _pair_moment(model) / mu
-    if kind != "linear":
-        raise ConstantError(f"no closed form for kind {kind!r}")
     if a == 1:
         mu = moment_function_deriv(model, 1.0).value
         return model.q_mean() / mu
@@ -106,7 +106,7 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
     model : VectorModel
     sol : CramerSolution
         Supplies alpha and mu.
-    kind : {"linear", "max", "homogeneous-martingale"}
+    kind : a name in ``engine.KINDS`` other than max-plus
     r_batch : SampleBatch or array_like
         Sample of the fixed-point law for the same model and kind.
     reps : int
@@ -122,8 +122,10 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
         ``suspect`` set when alpha >= 2 and a few replications dominate
         the integrand sum (second-moment instability).
     """
-    if kind not in _MC_KINDS:
-        raise ConstantError(f"Monte Carlo H supports kinds {_MC_KINDS}")
+    children, toll = recursion(kind)
+    if toll is not None and toll is not children:
+        raise ConstantError(f"Monte Carlo H covers no kinds whose toll "
+                            f"adds to a max of children, such as {kind!r}")
     if reps < _MIN_REPS:
         raise ConstantError(f"reps must be >= {_MIN_REPS}")
     r_values = np.asarray(getattr(r_batch, "values", r_batch), dtype=float)
@@ -138,19 +140,11 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
         rng = np.random.default_rng(_MC_SEED)
     alpha, mu = sol.alpha, sol.mu
 
-    q = (model.draw_q(rng, reps) if kind in ("linear", "max")
-         else np.zeros(reps))
+    q = np.zeros(reps) if toll is None else model.draw_q(rng, reps)
     counts, terms = resample_children(model, r_values, reps, rng)
     power_sums = reduce_to_parents(np.add, counts, terms ** alpha)
-    if kind == "max":
-        peaks = reduce_to_parents(np.maximum, counts, terms)
-        outer = np.maximum(peaks, q) ** alpha
-    else:
-        sums = reduce_to_parents(np.add, counts, terms)
-        if kind == "linear":
-            sums += q
-        outer = sums ** alpha
-    integrand = (outer - power_sums) / (alpha * mu)
+    outer = (toll or np.add)(reduce_to_parents(children, counts, terms), q)
+    integrand = (outer ** alpha - power_sums) / (alpha * mu)
     value, se = mean_se(integrand)
     suspect = alpha >= 2.0 and dominance_ratio(integrand) > 0.05
     return MomentValue(value, "monte-carlo", se, suspect=suspect)
@@ -176,27 +170,20 @@ def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
     (lower, upper) : pair of float or None
         None marks a side with no applicable bound.
     """
+    children, toll = recursion(kind)
     alpha, mu = sol.alpha, sol.mu
     lower = upper = None
     toll_bound = model.q_moment(alpha) / (alpha * mu)
-    if kind == "linear":
-        if alpha >= 1.0 - _INTEGER_TOL:
-            lower = toll_bound
-        if alpha <= 1.0 + _INTEGER_TOL:
-            upper = toll_bound
-    elif kind == "max":
-        upper = toll_bound
-    elif kind == "max-plus":
-        if alpha <= 1.0 + _INTEGER_TOL:
-            upper = toll_bound
-    elif kind == "homogeneous-martingale":
+    if children is np.add and toll is np.add and alpha >= 1.0 - _INTEGER_TOL:
+        lower = toll_bound
+    if toll is None:
         if (alpha > 1.0 and _alpha_integer(alpha) is None
                 and r_batch is not None):
             r_values = getattr(r_batch, "values", r_batch)
             upper = (_sum_interpolation_bound(model, alpha, r_values, rng)
                      / (alpha * mu))
-    else:
-        raise ConstantError(f"unknown recursion kind {kind!r}")
+    elif toll is np.maximum or alpha <= 1.0 + _INTEGER_TOL:
+        upper = toll_bound
     return lower, upper
 
 
@@ -241,12 +228,12 @@ def tail_constant_report(model, sol, kind, r_batch=None, reps=_MIN_REPS,
     except ConstantError:
         pass
     mc = None
-    if r_batch is not None and kind in _MC_KINDS:
+    if r_batch is not None:
         try:
             mc = tail_constant_mc(model, sol, kind, r_batch, reps=reps,
                                   rng=rng, min_batch=min_batch)
         except ConstantError:
-            # batch too small for the resampling route; leave it absent
+            # no route for the kind, or a batch too small for resampling
             mc = None
     lower, upper = tail_constant_bounds(model, sol, kind, r_batch=r_batch,
                                         rng=rng)

@@ -22,6 +22,7 @@ from .model import (
     moment_function_deriv,
     sum_moment,
 )
+from .engine import recursion
 from .moments import contractive
 
 __all__ = [
@@ -228,13 +229,13 @@ def check_conditions(model, sol, kind, epsilon=0.5):
     """
     if not 0 < epsilon < 1:
         raise ModelError("epsilon must lie in (0, 1)")
+    _, toll = recursion(kind)
     alpha = sol.alpha
     entries = []
-    homogeneous = kind == "homogeneous-martingale"
 
-    # toll positivity / moments of the law the kind draws: the homogeneous
-    # kind marks its last generation instead of charging tolls
-    q_law = model.mark_law if homogeneous else model.q_law
+    # toll positivity / moments of the law the kind draws: a kind without a
+    # toll marks its last generation instead of charging tolls
+    q_law = model.mark_law if toll is None else model.q_law
     p_pos = q_law.prob_positive()
     entries.append(
         ConditionEntry(
@@ -276,7 +277,7 @@ def check_conditions(model, sol, kind, epsilon=0.5):
     # a root solved to machine precision can land a few ulp above 1; such a
     # root is the alpha = 1 case and must take the epsilon branch
     if alpha > 1.0 + _CRITICAL_TOL:
-        if kind in ("linear", "max-plus"):
+        if toll is np.add:
             rho = moment_function(model, 1.0).value
             # strict guard: a rho within an ulp of 1 is the critical case,
             # where the additive fixed point has no finite mean
@@ -318,7 +319,7 @@ def check_conditions(model, sol, kind, epsilon=0.5):
             )
         )
 
-    if homogeneous:
+    if toll is None:
         rho = moment_function(model, 1.0).value
         crit = abs(rho - 1.0) <= _CRITICAL_TOL
         entries.append(

@@ -44,7 +44,13 @@ from .moments import contractive, generation_moment_bound
 DEFAULT_BUDGET = 10 ** 7
 _CHUNK = 2048  # fixed so reductions associate identically for any worker count
 
-_KINDS = ("linear", "homogeneous-martingale", "max", "max-plus")
+# R = toll(children_i C_i R_i, Q); without a toll, marks weigh the last level
+KINDS = {
+    "linear": (np.add, np.add),
+    "homogeneous-martingale": (np.add, None),
+    "max": (np.maximum, np.maximum),
+    "max-plus": (np.maximum, np.add),
+}
 
 
 class EngineError(ValueError):
@@ -77,8 +83,7 @@ class SampleBatch:
     truncated: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise EngineError(f"unknown recursion kind: {self.kind!r}")
+        recursion(self.kind)
         if not (np.isfinite(self.values) & (self.values >= 0.0)).all():
             raise EngineError("batch values must be finite and nonnegative")
         if self.values.size != self.stream_count - self.truncated_replications:
@@ -111,18 +116,19 @@ def _validate_depth(model, depth):
     return int(depth)
 
 
-def _validate_kind(model, kind):
-    if kind not in _KINDS:
-        raise EngineError(f"unknown recursion kind: {kind!r}")
-    if kind != "homogeneous-martingale" and model.q_law.prob_positive() == 0.0:
+def recursion(kind, model=None):
+    """A kind's ``(children, toll)`` pair: the one lookup of a kind name.
+
+    Given a ``model``, a kind with a toll also needs P(Q > 0) > 0.
+    """
+    try:
+        children, toll = KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise EngineError(f"unknown recursion kind: {kind!r}") from None
+    if (toll is not None and model is not None
+            and model.q_law.prob_positive() == 0.0):
         raise EngineError(f"kind {kind!r} requires P(Q > 0) > 0")
-
-
-def _draw_tolls(model, kind, last, rng, size):
-    """Generation tolls: martingale marks at the last generation, else Q."""
-    if kind == "homogeneous-martingale":
-        return model.draw_mark(rng, size) if last else None
-    return model.draw_q(rng, size)
+    return children, toll
 
 
 _ROOT = np.ones(1)
@@ -133,16 +139,18 @@ def _replicate(model, kind, depth, budget, rng):
     """One replication, grown generation by generation; returns (value, nodes, z).
 
     This is the one place that encodes the stream order: generation k
-    draws its tolls, then its counts, then its child weights.  The tolls
-    fold by sum (linear, martingale) or by max (max); max-plus carries
+    draws its tolls, then its counts, then its child weights.  The terms
+    Pi_v Q_v fold by the kind's children ufunc; max-plus instead carries
     each node's path sum S_v = sum of Pi_u Q_u over u on root..v and
     takes their max, which is R because the weights are nonnegative.
-    The martingale kind draws marks at generation ``depth`` only.
+    A kind without a toll draws marks at generation ``depth`` only.
 
     A None value means the node budget was hit and the replication
     abandoned, before the weights of the generation that hit it were
     drawn; ``z`` lists the generation sizes grown so far.
     """
+    children, toll = KINDS[kind]
+    paths = children is not toll and toll is not None  # max-plus
     pi = _ROOT
     nodes = 1
     z = [1]
@@ -151,12 +159,13 @@ def _replicate(model, kind, depth, budget, rng):
     path = 0.0  # the root's path sum before its toll
     while True:
         last = level == depth
-        tolls = _draw_tolls(model, kind, last, rng, pi.size)
-        if kind == "max":
-            acc = max(acc, float((tolls * pi).max()))
-        elif kind == "max-plus":
+        tolls = (model.draw_q(rng, pi.size) if toll is not None
+                 else model.draw_mark(rng, pi.size) if last else None)
+        if paths:
             path = path + tolls * pi
             acc = max(acc, float(path.max()))
+        elif children is np.maximum:
+            acc = max(acc, float((tolls * pi).max()))
         elif tolls is not None:
             acc += tolls @ pi
         if last:
@@ -167,7 +176,7 @@ def _replicate(model, kind, depth, budget, rng):
         if weights.size == 0:
             break  # the tree died
         nodes += weights.size
-        if kind == "max-plus":
+        if paths:
             path = path.repeat(counts)
         pi = pi.repeat(counts) * weights
         z.append(weights.size)
@@ -231,16 +240,15 @@ def _martingale_forest(model, depths, reps, budget, rng):
 def _iterate_forest(model, kind, n, starts, reps, budget, rng):
     """n-step iterates from deterministic starts, all on one forest.
 
-    Each tree folds Pi_v Q_v over generations 0..n-1 by sum (linear) or
-    max (max), then takes ``s`` times the same fold of its generation-n
-    path products for each start ``s``, so the starts share every draw.
-    Trees over the budget by generation n are left out.
+    Each tree folds Pi_v Q_v over generations 0..n-1 by the kind's toll,
+    the same ufunc as its children (linear, max), then takes ``s`` times
+    the fold of its generation-n path products for each start ``s``, so
+    the starts share every draw.  Trees over the budget are left out.
     """
-    if kind not in ("linear", "max"):
-        raise EngineError(f"the iterate takes kind linear or max, "
-                          f"not {kind!r}")
-    _validate_kind(model, kind)
-    fold = np.add if kind == "linear" else np.maximum
+    fold, toll = recursion(kind, model)
+    if fold is not toll:
+        raise EngineError(f"the iterate takes a kind whose toll folds like "
+                          f"its children, not {kind!r}")
     partial = np.zeros(reps)
     forest = generation_frontier(model, n, reps, budget, rng)
     for k, (pi, owner, alive) in enumerate(forest):
@@ -330,7 +338,7 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
     only the budget bounds a replication and only a small budget keeps
     the run cheap (the CLI refuses such a law in exact mode).
     """
-    _validate_kind(model, kind)
+    recursion(kind, model)
     depth = _validate_depth(model, depth)
     seed = _validate_seed(seed)
     if reps < 1:
