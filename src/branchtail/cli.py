@@ -43,7 +43,7 @@ from .engine import (
     truncation_bound,
     write_batch_csv,
 )
-from .model import ModelError, make_model, mean_se, verdict
+from .model import ModelError, VectorModel, make_model, mean_se, verdict
 from .moments import generation_moment_bound
 from .renewal import _MAX_CONVOLUTION, TiltError, verify_product_measure
 from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
@@ -349,7 +349,7 @@ def cmd_simulate(config, force=False):
     print(batch_path)
     info = summary(batch)
     bound = None
-    _, toll = KINDS[config["kind"]]
+    _, toll = recursion(config["kind"])
     if config["depth"] is not None and toll is not None:
         bound = truncation_bound(
             model, config["truncation_beta"], config["depth"],
@@ -435,11 +435,14 @@ def _verify_moment_grid(config, model, rng, bound_rng, corrupt=False):
     betas = config["verify"]["moment_betas"]
     w = _martingale_forest(model, depths, config["verify"]["moment_reps"],
                            config["budget"], rng)
+    # W_n weighs generation n by marks, so the bound takes the mark law
+    marked = VectorModel(model.n_law, model.c_law, model.mark_law,
+                         model.c_scale)
     for n in depths:
         for beta in betas:
             cell = {"check": "generation-moment-bound", "n": n, "beta": beta}
             cells.append(cell)
-            bound = generation_moment_bound(model, beta, n, rng=bound_rng)
+            bound = generation_moment_bound(marked, beta, n, rng=bound_rng)
             if math.isinf(bound.value):
                 cell.update(status="precondition-unmet", holds=None)
                 continue
@@ -458,7 +461,7 @@ def _verify_moment_grid(config, model, rng, bound_rng, corrupt=False):
 def _verify_iteration(config, model, rng):
     starts = config["verify"]["iterate_starts"]
     n = config["verify"]["iterate_depth"]
-    children, toll = KINDS[config["kind"]]
+    children, toll = recursion(config["kind"])
     kind = config["kind"] if children is toll else "linear"
     try:
         recursion(kind, model)  # a toll fixed at 0 has no iterate

@@ -140,6 +140,7 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
         rng = np.random.default_rng(_MC_SEED)
     alpha, mu = sol.alpha, sol.mu
 
+    # no toll adds Q = 0: R = toll(children_i C_i R_i, Q) for every kind
     q = np.zeros(reps) if toll is None else model.draw_q(rng, reps)
     counts, terms = resample_children(model, r_values, reps, rng)
     power_sums = reduce_to_parents(np.add, counts, terms ** alpha)

@@ -43,6 +43,9 @@ from .moments import contractive, generation_moment_bound
 
 DEFAULT_BUDGET = 10 ** 7
 _CHUNK = 2048  # fixed so reductions associate identically for any worker count
+# nodes in one forest generation, whatever each tree's budget: about 0.5 GB
+# of working arrays
+_FOREST_WIDTH = 10 ** 7
 
 # R = toll(children_i C_i R_i, Q); without a toll, marks weigh the last level
 KINDS = {
@@ -194,7 +197,9 @@ def generation_frontier(model, depth, trees, budget, rng):
     caller may draw its own per-generation values in between.  A tree
     whose node count through a generation exceeds ``budget`` is dropped
     from then on, as ``run_batch`` abandons a replication.  Memory is
-    linear in the widest generation of the forest.
+    linear in the widest generation of the forest, which may hold at
+    most ``_FOREST_WIDTH`` nodes: a wider one raises EngineError before
+    its weights are drawn.
 
     Unlike ``run_batch``, every child weight is drawn before the budget
     is checked: the trees share one stream, so drawing fewer weights for
@@ -207,8 +212,12 @@ def generation_frontier(model, depth, trees, budget, rng):
     nodes = np.ones(trees, dtype=np.int64)
     alive = np.ones(trees, dtype=bool)
     yield pi, owner, alive
-    for _ in range(depth):
-        counts, weights = model.draw_offspring(rng, pi.size)
+    for k in range(1, depth + 1):
+        counts, weights = model.draw_offspring(rng, pi.size, _FOREST_WIDTH)
+        if weights is None:
+            raise EngineError(
+                f"generation {k} of a forest of {trees} trees holds "
+                f"{int(counts.sum())} nodes, over the cap of {_FOREST_WIDTH}")
         owner = owner.repeat(counts)
         pi = pi.repeat(counts) * weights
         nodes += np.bincount(owner, minlength=trees)

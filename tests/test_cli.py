@@ -777,3 +777,29 @@ def test_importing_the_package_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_verify_exits_one_when_a_forest_outgrows_its_width_cap(
+        tmp_path, capsys, monkeypatch):
+    # the first generation of the moment grid's forest already holds 60,000
+    monkeypatch.setattr("branchtail.engine._FOREST_WIDTH", 10_000)
+    path = write_config(tmp_path, uniform_model_spec(),
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "verify"]) == 1
+    assert capsys.readouterr().err == (
+        "error: generation 1 of a forest of 20000 trees holds 60000 nodes, "
+        "over the cap of 10000\n")
+
+
+def test_verify_bounds_a_zero_toll_martingale_by_its_unit_marks(tmp_path):
+    # W_n weighs generation n by unit marks, so the bounds read E[1^beta]
+    spec = dict(model_a_spec(), q={"family": "deterministic", "value": 0.0})
+    path = write_config(tmp_path, spec, kind="homogeneous-martingale",
+                        seed=1, output_dir=str(tmp_path / "out"))
+    main(["--config", path, "verify"])
+    payload = read_json(tmp_path / "out" / "verification.json")
+    cells = [c for c in payload["checks"]
+             if c["check"] == "generation-moment-bound"
+             and c["status"] == "checked"]
+    assert len(cells) == 12
+    assert all(c["bound"] > 0.0 and c["holds"] for c in cells)

@@ -541,3 +541,25 @@ def test_truncated_mean_within_bound(model_b09):
     se = stopped.values.std(ddof=1) / math.sqrt(reps)
     assert gap <= bound + 3 * se
     assert bound == pytest.approx(rho ** 11 / (1 - rho), rel=1e-12)
+
+
+def test_forest_stops_before_the_weights_of_a_generation_over_the_cap(
+        monkeypatch):
+    # three children per node: 100, 300 and 900 nodes, then 2700 over 1000
+    monkeypatch.setattr(engine, "_FOREST_WIDTH", 1000)
+    model = make_model({"n": {"family": "deterministic", "value": 3},
+                        "c": {"family": "uniform", "b": 0.8},
+                        "q": {"family": "deterministic", "value": 1.0}})
+    weights_drawn = []
+    draw_weights = model.c_law.sample
+    monkeypatch.setattr(model.c_law, "sample", lambda rng, size: (
+        weights_drawn.append(size) or draw_weights(rng, size)))
+    widths = []
+    forest = engine.generation_frontier(model, 6, 100, engine.DEFAULT_BUDGET,
+                                        np.random.default_rng(0))
+    with pytest.raises(EngineError, match="generation 3 of a forest of 100 "
+                       "trees holds 2700 nodes, over the cap of 1000"):
+        for pi, _, _ in forest:
+            widths.append(pi.size)
+    assert widths == [100, 300, 900]
+    assert weights_drawn == [300, 900]
