@@ -34,6 +34,7 @@ from .engine import (
     DEFAULT_BUDGET,
     KINDS,
     EngineError,
+    _WidthError,
     _iterate_forest,
     _martingale_forest,
     read_batch_csv,
@@ -407,7 +408,14 @@ def cmd_analyze(config, batch_path):
     return 0
 
 
-def _verify_renewal(config, model, rng):
+def _over_cap(capped, err, check, **fields):
+    """The one entry of a check whose forest outgrew the width cap."""
+    capped.append(err)
+    return dict(fields, check=check, status="precondition-unmet",
+                reason=str(err), holds=None)
+
+
+def _verify_renewal(config, model, rng, capped):
     """Factorization checks per n, kept up to the first n that fails."""
     checks, n = [], None
     try:
@@ -425,16 +433,21 @@ def _verify_renewal(config, model, rng):
                        "status": "precondition-unmet",
                        "reason": str(err) if n is None else f"n={n}: {err}",
                        "holds": None})
+    except _WidthError as err:
+        checks.append(_over_cap(capped, err, "measure-factorization", n=n))
     return checks
 
 
-def _verify_moment_grid(config, model, rng, bound_rng, corrupt=False):
+def _verify_moment_grid(config, model, rng, bound_rng, capped, corrupt=False):
     """Generation-moment bound cells; ``bound_rng`` feeds MC sum moments."""
     cells = []
     depths = sorted(set(config["verify"]["moment_depths"]))
     betas = config["verify"]["moment_betas"]
-    w = _martingale_forest(model, depths, config["verify"]["moment_reps"],
-                           config["budget"], rng)
+    try:
+        w = _martingale_forest(model, depths, config["verify"]["moment_reps"],
+                               config["budget"], rng)
+    except _WidthError as err:
+        return [_over_cap(capped, err, "generation-moment-bound")]
     # W_n weighs generation n by marks, so the bound takes the mark law
     marked = VectorModel(model.n_law, model.c_law, model.mark_law,
                          model.c_scale)
@@ -458,7 +471,7 @@ def _verify_moment_grid(config, model, rng, bound_rng, corrupt=False):
     return cells
 
 
-def _verify_iteration(config, model, rng):
+def _verify_iteration(config, model, rng, capped):
     starts = config["verify"]["iterate_starts"]
     n = config["verify"]["iterate_depth"]
     children, toll = recursion(config["kind"])
@@ -468,9 +481,12 @@ def _verify_iteration(config, model, rng):
     except EngineError as err:
         return [{"check": "iteration-convergence", "n": n, "holds": None,
                  "status": "precondition-unmet", "reason": str(err)}]
-    first, second = _iterate_forest(model, kind, n, starts,
-                                    config["verify"]["iterate_reps"],
-                                    config["budget"], rng)
+    try:
+        first, second = _iterate_forest(model, kind, n, starts,
+                                        config["verify"]["iterate_reps"],
+                                        config["budget"], rng)
+    except _WidthError as err:
+        return [_over_cap(capped, err, "iteration-convergence", n=n)]
     ks = ks_distance(first, second)
     threshold = config["tails"]["ks_threshold"]
     return [{
@@ -488,13 +504,16 @@ def cmd_verify(config, corrupt_bound_self_test=False):
     # one generator per use: renewal keeps the seed's own stream
     grid_rng, iterate_rng, bound_rng = map(
         np.random.default_rng, np.random.SeedSequence(config["seed"]).spawn(3))
+    capped = []  # forests over the width cap, each ending one check
     checks = _verify_renewal(config, model,
-                             np.random.default_rng(config["seed"]))
+                             np.random.default_rng(config["seed"]), capped)
     checks.extend(_verify_moment_grid(config, model, grid_rng, bound_rng,
-                                      corrupt=corrupt_bound_self_test))
-    checks.extend(_verify_iteration(config, model, iterate_rng))
+                                      capped, corrupt=corrupt_bound_self_test))
+    checks.extend(_verify_iteration(config, model, iterate_rng, capped))
     flags = [c.get("holds", c.get("agree")) for c in checks]
     verdicts = [f for f in flags if f is not None]
+    if capped and not verdicts:
+        raise capped[0]  # the cap left nothing checked: an operational error
     all_ok = all(verdicts) if verdicts else False
     _write_json(os.path.join(_output_dir(config), "verification.json"), {
         "checks": checks,

@@ -31,6 +31,7 @@ counted, never clipped; their values are excluded from estimates.
 """
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -58,6 +59,10 @@ KINDS = {
 
 class EngineError(ValueError):
     """Invalid sampling request or a batch with no usable replications."""
+
+
+class _WidthError(EngineError):
+    """A forest generation wider than ``_FOREST_WIDTH``."""
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,8 @@ def generation_frontier(model, depth, trees, budget, rng):
     whose node count through a generation exceeds ``budget`` is dropped
     from then on, as ``run_batch`` abandons a replication.  Memory is
     linear in the widest generation of the forest, which may hold at
-    most ``_FOREST_WIDTH`` nodes: a wider one raises EngineError before
-    its weights are drawn.
+    most ``_FOREST_WIDTH`` nodes: a wider one raises ``_WidthError``, an
+    EngineError, before its weights are drawn.
 
     Unlike ``run_batch``, every child weight is drawn before the budget
     is checked: the trees share one stream, so drawing fewer weights for
@@ -215,7 +220,7 @@ def generation_frontier(model, depth, trees, budget, rng):
     for k in range(1, depth + 1):
         counts, weights = model.draw_offspring(rng, pi.size, _FOREST_WIDTH)
         if weights is None:
-            raise EngineError(
+            raise _WidthError(
                 f"generation {k} of a forest of {trees} trees holds "
                 f"{int(counts.sum())} nodes, over the cap of {_FOREST_WIDTH}")
         owner = owner.repeat(counts)
@@ -341,11 +346,13 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
 
     The output is a deterministic function of (model, kind, depth, reps,
     budget, seed): replication i derives its stream from (seed, i), so
-    the worker count changes wall time only.  Raises when every
-    replication hits the budget.  Exact mode (``depth`` None) needs
-    P(N = 0) > 0; with E[N] >= 1 the expected tree size is infinite, so
-    only the budget bounds a replication and only a small budget keeps
-    the run cheap (the CLI refuses such a law in exact mode).
+    the worker count changes wall time only.  The pool holds no more
+    processes than chunks or CPUs, and with one the chunks run here.
+    Raises when every replication hits the budget.  Exact mode (``depth``
+    None) needs P(N = 0) > 0; with E[N] >= 1 the expected tree size is
+    infinite, so only the budget bounds a replication and only a small
+    budget keeps the run cheap (the CLI refuses such a law in exact
+    mode).
     """
     recursion(kind, model)
     depth = _validate_depth(model, depth)
@@ -358,6 +365,7 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
         raise EngineError("budget must be >= 1")
     tasks = [(start, min(_CHUNK, reps - start))
              for start in range(0, reps, _CHUNK)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
         results = [
             _run_chunk(model, kind, depth, budget, seed, start, count)

@@ -12,12 +12,17 @@ guarantees.
 The plateau's error comes from a bootstrap of the replications that
 redraws only the values above the window's lowest point: their number
 is binomial and, given it, they are uniform picks among those values,
-which is the law a full redraw of the sample gives them.  ``tail_report``
-sorts the batch once and hands that order to every estimator.
+which is the law a full redraw of the sample gives them.
+
+Every estimator sorts the batch it is given, except an ``_Ascending``,
+the carrier of values already sorted: that is read as it is, and its
+order is never tested.  ``tail_report`` sorts once and hands the carrier
+to each public estimator.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,11 +96,20 @@ class TailReport:
         }
 
 
-def _values_of(batch):
+class _Ascending(NamedTuple):
+    """Batch values sorted ascending, handed from one estimator to the next."""
+
+    values: np.ndarray
+
+
+def _ascending(batch):
+    """The batch's values sorted ascending; an ``_Ascending`` passes as is."""
+    if isinstance(batch, _Ascending):
+        return batch
     values = np.asarray(getattr(batch, "values", batch), dtype=float)
     if values.size == 0:
         raise TailError("batch must be nonempty")
-    return values
+    return _Ascending(np.sort(values))
 
 
 def survival_points(batch, grid):
@@ -111,15 +125,10 @@ def survival_points(batch, grid):
     -------
     list of (t, fraction, std_error)
     """
-    values = _values_of(batch)
+    ordered = _ascending(batch).values
     grid = np.asarray(grid, dtype=float)
     if grid.size and np.any(np.diff(grid) < 0):
         raise TailError("threshold grid must be sorted ascending")
-    return _survival_sorted(np.sort(values), grid)
-
-
-def _survival_sorted(ordered, grid):
-    """survival_points over values already sorted ascending."""
     n = ordered.size
     exceed = n - np.searchsorted(ordered, grid, side="right")
     out = []
@@ -148,15 +157,11 @@ def hill_estimator(batch, k):
         When k is out of range or the tail window touches nonpositive
         values (log-ratios undefined there).
     """
-    return _hill_descending(np.sort(_values_of(batch))[::-1], k)
-
-
-def _hill_descending(ordered, k):
-    """hill_estimator over values already sorted in descending order."""
+    ordered = _ascending(batch).values
     n = ordered.size
     if not 2 <= k < n:
         raise TailError(f"tail count k={k} must satisfy 2 <= k < {n}")
-    top = ordered[: k + 1]
+    top = ordered[::-1][: k + 1]
     if top[k] <= 0.0:
         raise TailError("tail window contains nonpositive values")
     denom = float(np.sum(np.log(top[:k] / top[k])))
@@ -175,11 +180,7 @@ def hill_sweep(batch, points=_SWEEP_POINTS):
     errors; distributions with lighter tails drift systematically (the
     local index grows with the threshold), which this detects.
     """
-    return _sweep_descending(np.sort(_values_of(batch))[::-1], points)
-
-
-def _sweep_descending(ordered, points):
-    """hill_sweep over values already sorted in descending order."""
+    ordered = _ascending(batch).values
     n = ordered.size
     k_ref = default_tail_count(n)
     k_lo = max(50, int(round(n ** 0.35)))
@@ -187,14 +188,16 @@ def _sweep_descending(ordered, points):
     if k_lo >= n:
         raise TailError("too few values for a tail-count sweep")
     ks = np.unique(np.geomspace(k_lo, k_hi, points).astype(np.int64))
+    # every estimate reads only the top max(k) + 1 order statistics
+    top = _Ascending(ordered[-(max(k_hi, k_ref) + 1):])
     rows = []
     estimates = []
     for k in ks:
-        est = _hill_descending(ordered, int(k))
+        est = hill_estimator(top, int(k))
         rows.append((int(k), est.alpha, est.std_error))
         estimates.append(est.alpha)
     estimates = np.asarray(estimates)
-    reference = _hill_descending(ordered, k_ref).alpha
+    reference = hill_estimator(top, k_ref).alpha
     drift = float(estimates.max() - estimates.min()) / reference
     return rows, drift > _SWEEP_DRIFT_THRESHOLD
 
@@ -235,12 +238,7 @@ def plateau_constant(batch, alpha, quantile_band=DEFAULT_QUANTILE_BAND,
         When fewer than 50 window points are available, or the bootstrap
         count is 1 or negative.
     """
-    return _plateau_sorted(np.sort(_values_of(batch)), alpha, quantile_band,
-                           bootstrap, rng)
-
-
-def _plateau_sorted(ordered, alpha, quantile_band, bootstrap, rng):
-    """plateau_constant over values already sorted ascending."""
+    ordered = _ascending(batch).values
     if not alpha > 0:
         raise TailError("alpha must be positive")
     q_lo, q_hi = quantile_band
@@ -321,11 +319,7 @@ def default_survival_grid(values, points=40):
 
     ``values`` is a SampleBatch or array_like, as for ``survival_points``.
     """
-    return _grid_sorted(np.sort(_values_of(values)), points)
-
-
-def _grid_sorted(ordered, points=40):
-    """default_survival_grid over values already sorted ascending."""
+    ordered = _ascending(values).values
     positive = ordered[np.searchsorted(ordered, 0.0, side="right"):]
     if positive.size < 2:
         raise TailError("need positive values for a survival grid")
@@ -340,16 +334,15 @@ def tail_report(batch, alpha=None, k=None, quantile_band=DEFAULT_QUANTILE_BAND,
     """Assemble the full tail analysis for one batch.
 
     ``alpha`` fixes the plateau exponent; by default the Hill estimate
-    is used.  The values are sorted once and every estimator reads that
-    order.
+    is used.  The report composes the public estimators: the values are
+    sorted once, and that order reaches each estimator as an
+    ``_Ascending``, which none of them sorts again.
     """
-    values = _values_of(batch)
-    ordered = np.sort(values)
-    descending = ordered[::-1]
-    hill = _hill_descending(descending, k if k is not None else
-                            default_tail_count(values.size))
-    sweep, drift_flag = _sweep_descending(descending, _SWEEP_POINTS)
-    plateau = _plateau_sorted(ordered, alpha if alpha is not None else
-                              hill.alpha, quantile_band, bootstrap, rng)
-    survival = _survival_sorted(ordered, _grid_sorted(ordered))
+    ordered = _ascending(batch)
+    hill = hill_estimator(ordered, k if k is not None else
+                          default_tail_count(ordered.values.size))
+    sweep, drift_flag = hill_sweep(ordered)
+    plateau = plateau_constant(ordered, alpha if alpha is not None else
+                               hill.alpha, quantile_band, bootstrap, rng)
+    survival = survival_points(ordered, default_survival_grid(ordered))
     return TailReport(hill, plateau, survival, sweep, drift_flag)

@@ -803,3 +803,37 @@ def test_verify_bounds_a_zero_toll_martingale_by_its_unit_marks(tmp_path):
              and c["status"] == "checked"]
     assert len(cells) == 12
     assert all(c["bound"] > 0.0 and c["holds"] for c in cells)
+
+
+@pytest.mark.parametrize("moment_depths, iterate_depth, capped", [
+    ([0, 1, 2], 3, "iteration-convergence"),
+    ([0, 1, 3], 2, "generation-moment-bound"),
+])
+def test_a_forest_over_the_width_cap_ends_only_its_own_check(
+        tmp_path, monkeypatch, moment_depths, iterate_depth, capped):
+    # model_a's forests of 1000 trees hold about 1300, 1690 and 2200 nodes
+    # in generations 1 to 3, so each check's third generation is over 1900
+    monkeypatch.setattr("branchtail.engine._FOREST_WIDTH", 1900)
+    path = write_config(
+        tmp_path, model_a_spec(), seed=1,
+        verify={"renewal_n": [1, 2, 3], "renewal_reps": 1000,
+                "moment_depths": moment_depths, "moment_betas": [1.0],
+                "moment_reps": 1000, "iterate_depth": iterate_depth,
+                "iterate_reps": 1000},
+        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "verify"]) in (0, 3)
+    checks = read_json(tmp_path / "out" / "verification.json")["checks"]
+    unmet = [c for c in checks if c.get("status") == "precondition-unmet"]
+    assert [(c["check"], c.get("n")) for c in unmet] == [
+        ("measure-factorization", 3),
+        (capped, iterate_depth if capped == "iteration-convergence" else None)]
+    for entry in unmet:
+        assert entry["holds"] is None
+        assert entry["reason"].startswith("generation 3 of a forest of 1000 "
+                                          "trees holds ")
+        assert entry["reason"].endswith(" nodes, over the cap of 1900")
+    # the factorization keeps its n = 1, 2 checks, and the other check stays
+    done = [c["check"] for c in checks if c not in unmet]
+    assert done.count("measure-factorization") == 6
+    assert len(done) == 6 + (1 if capped == "generation-moment-bound"
+                             else len(moment_depths))

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,44 @@ def test_worker_count_does_not_change_results(model_b09):
     assert one.total_nodes == many.total_nodes
     assert np.array_equal(one.level_mean, many.level_mean)
     assert np.array_equal(one.level_max, many.level_max)
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("reps, cpus, pool", [
+    (10, 64, [3]),    # three chunks of four
+    (10, 2, [2]),
+    (10, None, []),   # no CPU count: one process, so no pool
+    (4, 64, []),      # one chunk
+])
+def test_the_pool_holds_no_more_processes_than_chunks_or_cpus(
+        model_b09, monkeypatch, reps, cpus, pool):
+    monkeypatch.setattr(engine, "_CHUNK", 4)
+    one = run_batch(model_b09, "linear", 8, reps, seed=31, workers=1)
+    sizes = []
+    monkeypatch.setattr(engine, "ProcessPoolExecutor",
+                        lambda max_workers: FakePool(sizes, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    many = run_batch(model_b09, "linear", 8, reps, seed=31, workers=5000)
+    assert sizes == pool
+    assert np.array_equal(one.values, many.values)
+    assert np.array_equal(one.node_counts, many.node_counts)
 
 
 # persistence

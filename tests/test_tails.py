@@ -304,3 +304,28 @@ def test_tail_report_equals_its_parts(alpha, k):
     positive = x[x > 0]
     assert np.array_equal(default_survival_grid(x), np.geomspace(
         np.quantile(positive, 0.5), np.quantile(positive, 0.9995), 40))
+
+
+ESTIMATORS = ("hill_estimator", "hill_sweep", "plateau_constant",
+              "survival_points", "default_survival_grid")
+
+
+def test_tail_report_composes_the_public_estimators(monkeypatch):
+    x = pareto(1.0, 20_000, 49)
+    calls = []
+    for name in ESTIMATORS:
+        def spy(batch, *args, _name=name, _estimator=getattr(tails, name),
+                **kwargs):
+            calls.append((_name, type(batch)))
+            return _estimator(batch, *args, **kwargs)
+        monkeypatch.setattr(tails, name, spy)
+    report = tail_report(x, rng=np.random.default_rng(50))
+    assert {name for name, _ in calls} == set(ESTIMATORS)
+    # each estimator reads the one sorted carrier; the sweep asks one Hill
+    # estimate per tail count and one at the reference count
+    assert {kind for _, kind in calls} == {tails._Ascending}
+    hills = [name for name, _ in calls].count("hill_estimator")
+    assert hills == 1 + len(report.sweep) + 1
+    for values in (np.sort(x), np.sort(x)[::-1], list(x)):
+        again = tail_report(values, rng=np.random.default_rng(50))
+        assert json.dumps(again.to_dict()) == json.dumps(report.to_dict())
