@@ -507,8 +507,13 @@ def cmd_verify(config, corrupt_bound_self_test=False):
     capped = []  # forests over the width cap, each ending one check
     checks = _verify_renewal(config, model,
                              np.random.default_rng(config["seed"]), capped)
-    checks.extend(_verify_moment_grid(config, model, grid_rng, bound_rng,
-                                      capped, corrupt=corrupt_bound_self_test))
+    cells = _verify_moment_grid(config, model, grid_rng, bound_rng, capped,
+                                corrupt=corrupt_bound_self_test)
+    if corrupt_bound_self_test and all(
+            c["status"] != "self-test-corrupted" for c in cells):
+        raise ConfigError("the bound self-test found no checked moment "
+                          "cell to corrupt")
+    checks.extend(cells)
     checks.extend(_verify_iteration(config, model, iterate_rng, capped))
     flags = [c.get("holds", c.get("agree")) for c in checks]
     verdicts = [f for f in flags if f is not None]

@@ -107,15 +107,18 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
     bracket until no double lies strictly between its ends; alpha is the
     end with the smaller residual, so it is resolved to the last bit.
     ``tol`` is the largest residual |moment_function(alpha) - 1| accepted.
-    If the bracket does not
-    straddle 1 but the model sits at the critical pattern (moment function
-    equal to 1 at theta = 1), the search is restricted to theta > 1 for
-    the second root of the pair.
+    The moment function E[N] E[C^theta] is log-convex (Hoelder), so it
+    crosses 1 at most twice, rising only past its minimum.  The bracket
+    must contain alpha but need not straddle it: when the moment function
+    is at least 1 at ``lo`` and above 1 at ``hi``, its minimum (the sign
+    change of its derivative, found by the same bisection) replaces
+    ``lo``.  ``bracket`` in the result holds the ends the final bisection
+    started from.
 
     Raises
     ------
     NoSignChangeError
-        Neither a straddling bracket nor the critical pattern is present.
+        The moment function does not cross 1 on the bracket.
     ContractionRootError
         The root exists but the derivative there is nonpositive.
     SolverError
@@ -130,32 +133,34 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
     def f(theta):
         return moment_function(model, theta).value - 1.0
 
+    def df(theta):
+        return moment_function_deriv(model, theta).value
+
     flo, fhi = f(lo), f(hi)
-    f_probe = f(1.0)
-    critical = abs(f_probe) <= _CRITICAL_TOL and lo < 1.0 < hi
+    if flo >= 0 and fhi > 0 and df(lo) < 0 < df(hi):
+        # the log-convex moment function can only rise through 1 past its
+        # least point, the sign change of its derivative
+        lo = _bisect(df, lo, hi, df(lo), df(hi))[0]
+        flo = f(lo)
     if flo == 0.0:
         root, residual = lo, 0.0
     elif fhi == 0.0:
         root, residual = hi, 0.0
     else:
         if flo * fhi > 0:
-            # no straddle; a critical pair still admits a second root above 1
-            if not critical or fhi < 0:
-                raise NoSignChangeError(
-                    f"moment function minus 1 has no sign change on "
-                    f"[{lo:g}, {hi:g}] (values {flo:.3g}, {fhi:.3g})"
-                )
-            lo = _first_negative_above_one(f, hi)
-            flo = f(lo)
+            raise NoSignChangeError(
+                f"moment function minus 1 has no sign change on "
+                f"[{lo:g}, {hi:g}] (values {flo:.3g}, {fhi:.3g})"
+            )
         root, residual = _bisect(f, lo, hi, flo, fhi)
         if residual > tol:
             raise SolverError(
                 f"no double within tol of the root: residual {residual:.3g} "
                 f"at alpha = {root!r}")
-    mu = moment_function_deriv(model, root).value
+    mu = df(root)
     if mu <= 0:
         raise ContractionRootError(root, mu, residual)
-    second = abs(f_probe) <= _CRITICAL_TOL and root > 1.0 + 1e-6
+    second = abs(f(1.0)) <= _CRITICAL_TOL and root > 1.0 + 1e-6
     return CramerSolution(
         alpha=root,
         mu=mu,
@@ -163,18 +168,6 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
         root_kind="second-root-of-critical-pair" if second else "unique-root",
         bracket=(lo, hi),
     )
-
-
-def _first_negative_above_one(f, hi):
-    # walk a ladder of offsets above 1 until the function dips below 1
-    for k in range(9, 0, -1):
-        cand = 1.0 + 10.0 ** (-k)
-        if cand < hi and f(cand) < 0:
-            return cand
-    for cand in np.geomspace(1.1, hi, 32)[:-1]:
-        if f(cand) < 0:
-            return float(cand)
-    raise NoSignChangeError("critical pattern detected but no dip below 1 above theta = 1")
 
 
 def _bisect(f, lo, hi, flo, fhi):

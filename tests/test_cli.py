@@ -131,6 +131,18 @@ def test_solve_alpha_no_sign_change_exits_one(tmp_path, capsys):
     assert "solver failed" in capsys.readouterr().err
 
 
+def test_default_bracket_solves_and_certifies_poisson2(tmp_path):
+    # E[N] = 2 puts the moment function above 1 at both default ends
+    path = write_config(tmp_path, poisson2_spec(), depth=6, reps=200,
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "solve-alpha"]) == 0
+    payload = read_json(tmp_path / "out" / "alpha_solution.json")
+    assert 0.9 < payload["alpha"] < 1.0
+    assert payload["passed"] is True
+    assert main(["--config", path, "simulate"]) == 0
+    assert (tmp_path / "out" / "batch.csv").exists()
+
+
 # simulate
 
 
@@ -580,6 +592,16 @@ def test_verify_corrupt_hook_exits_three(tmp_path):
     corrupted = [c for c in payload["checks"]
                  if c.get("status") == "self-test-corrupted"]
     assert corrupted and all(c["holds"] is False for c in corrupted)
+
+
+def test_verify_self_test_that_corrupts_nothing_exits_one(tmp_path, capsys):
+    # at beta = 2 model_b(0.9) has no contraction: no cell is checked
+    path = quick_verify_config(tmp_path, seed=1)
+    assert main(["--config", path, "--set", "verify.moment_betas=[2.0]",
+                 "verify", "--corrupt-bound-self-test"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no checked moment cell" in err
+    assert not (tmp_path / "out" / "verification.json").exists()
 
 
 def test_verify_under_a_tight_budget(tmp_path, capsys):

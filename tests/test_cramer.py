@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from branchtail.cramer import (
+    DEFAULT_BRACKET,
     ContractionRootError,
     CramerSolution,
     NoSignChangeError,
@@ -13,7 +14,8 @@ from branchtail.cramer import (
 )
 from branchtail.model import make_model, moment_function, reduce_to_parents
 
-from conftest import ALPHA_UNIFORM, MU_A, MU_B, model_a_spec, model_b_spec
+from conftest import (ALPHA_UNIFORM, MU_A, MU_B, model_a_spec, model_b_spec,
+                      poisson2_spec)
 
 
 def det(value):
@@ -118,6 +120,76 @@ def test_mu_matches_deriv_code_path(model_a):
 
     sol = solve_alpha(model_a, bracket=(1.2, 4.0))
     assert sol.mu == moment_function_deriv(model_a, sol.alpha).value
+
+
+def two_root_spec(n, mu, sigma2):
+    return {"n": det(n), "c": {"family": "lognormal", "mu": mu,
+                               "sigma2": sigma2}, "q": det(1.0)}
+
+
+# each bracket holds alpha, but the moment function exceeds 1 at both ends
+@pytest.mark.parametrize("spec, bracket, straddling", [
+    (dict(model_a_spec(), c_scale=0.95), DEFAULT_BRACKET, (1.2, 4.0)),
+    (dict(model_a_spec(), c_scale=0.95), (0.5, 4.0), (1.2, 4.0)),
+    (poisson2_spec(), DEFAULT_BRACKET, (0.5, 4.0)),
+    (two_root_spec(2, -1.0, 0.5), DEFAULT_BRACKET, (1.2, 4.0)),
+    (two_root_spec(2, -1.0, 0.5), (0.5, 4.0), (1.2, 4.0)),
+], ids=["model_a-0.95", "model_a-0.95-half", "poisson2", "two-root",
+        "two-root-half"])
+def test_a_bracket_above_one_at_both_ends_solves_past_the_minimum(
+        spec, bracket, straddling):
+    model = make_model(spec)
+    sol = solve_alpha(model, bracket=bracket)
+    ref = solve_alpha(model, bracket=straddling)
+    assert (sol.alpha.hex(), sol.mu.hex(), sol.residual.hex()) == (
+        ref.alpha.hex(), ref.mu.hex(), ref.residual.hex())
+    assert sol.root_kind == ref.root_kind == "unique-root"
+    assert sol.bracket[1] == bracket[1]
+    assert bracket[0] < sol.bracket[0] < sol.alpha  # lo moved to the minimum
+
+
+def test_model_a_default_bracket_starts_at_the_minimum(model_a):
+    # log m is a parabola with roots 1 and 2, so it is least at 1.5
+    sol = solve_alpha(model_a)
+    assert sol.bracket == (1.5, DEFAULT_BRACKET[1])
+    ref = solve_alpha(model_a, bracket=(1.0, 4.0))
+    assert (sol.alpha, sol.mu, sol.residual) == (ref.alpha, ref.mu,
+                                                  ref.residual)
+
+
+@pytest.mark.parametrize("spec, bracket", [
+    (model_b_spec(), (1.2, 4.0)),             # rising on the whole bracket
+    (two_root_spec(2, -0.5, 1.0), DEFAULT_BRACKET),  # least value 1.76
+], ids=["monotone", "minimum-above-one"])
+def test_no_crossing_above_one_is_no_sign_change(spec, bracket):
+    with pytest.raises(NoSignChangeError):
+        solve_alpha(make_model(spec), bracket=bracket)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.floats(0.02, 3.0), st.floats(0.05, 4.9),
+       st.floats(0.01, 0.99))
+@example(n=2, low_root=0.1, gap=3.0, frac=0.5)  # the falling root is lo
+def test_default_solve_finds_the_root_a_straddling_bracket_finds(
+        n, low_root, gap, frac):
+    # lognormal weights put log m on a parabola; (mu, sigma2) are drawn
+    # through its two roots, which lie below the default hi
+    sigma2 = 2.0 * math.log(n) / (low_root * (low_root + gap))
+    model = make_model(two_root_spec(n, -sigma2 * (low_root + gap / 2.0),
+                                     sigma2))
+    theta, hi = low_root + frac * gap, DEFAULT_BRACKET[1]
+
+    def f(t):
+        return moment_function(model, t).value - 1.0
+
+    assume(DEFAULT_BRACKET[0] < theta and f(theta) < 0.0 < f(hi))
+    sol, ref = solve_alpha(model), solve_alpha(model, bracket=(theta, hi))
+    assert sol.root_kind == ref.root_kind
+    # the computed moment function is flat to rounding over up to about a
+    # hundred doubles where it rises slowly through 1, and two bisections
+    # from different brackets may stop at different sign changes there
+    assert sol.alpha == pytest.approx(ref.alpha, rel=1e-13)
+    _assert_best_double(model, sol.alpha)
 
 
 def test_conditions_model_b_linear(model_b):

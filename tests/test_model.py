@@ -15,6 +15,7 @@ from branchtail.model import (
     sum_moment,
     verdict,
 )
+from branchtail.moments import fixed_point_mean_exact
 
 from conftest import MU_A, MU_B, SUM2_A, model_a_spec, model_b_spec
 
@@ -347,3 +348,54 @@ def test_describe_round_trip(model_a, model_b09):
         again = make_model(m.describe())
         assert again.fingerprint() == m.fingerprint()
         assert moment_function(again, 1.7).value == moment_function(m, 1.7).value
+
+
+# geometric counts: P(N = k) = (1 - p)^k p
+
+
+def geometric_model(p, c=None):
+    return make_model({"n": {"family": "geometric", "p": p},
+                       "c": c or det(0.5), "q": det(1.0)})
+
+
+def test_geometric_law_matches_its_draws():
+    law = geometric_model(0.4).n_law
+    counts = law.sample(np.random.default_rng(2023), 1_000_000)
+    # each closed form is the mean of one statistic of a draw; every
+    # estimate must lie within 4 of its standard errors
+    for exact, stat in [
+        (law.mean(), counts),
+        (law.pair_mean(), counts * (counts - 1) / 2.0),
+        (law.prob_zero(), counts == 0),
+        (law.prob_at_least_two(), counts >= 2),
+    ]:
+        estimate, se = mean_se(np.asarray(stat, dtype=float))
+        assert abs(estimate - exact) <= 4.0 * se
+    assert (law.mean(), law.pair_mean()) == pytest.approx((1.5, 2.25))
+    assert (law.prob_zero(), law.prob_at_least_two()) == pytest.approx(
+        (0.4, 0.36))
+
+
+def test_geometric_with_certain_success_draws_only_zeros():
+    counts = geometric_model(1.0).n_law.sample(np.random.default_rng(5),
+                                               10_000)
+    assert counts.min() == counts.max() == 0
+
+
+def test_geometric_describe_round_trip():
+    m = geometric_model(0.35, {"family": "lognormal", "mu": -0.2,
+                               "sigma2": 0.3})
+    again = make_model(m.describe())
+    assert again.n_law.family == "geometric" and again.n_law.p == 0.35
+    assert again.fingerprint() == m.fingerprint()
+
+
+def test_geometric_exact_batch_mean_is_the_fixed_point_mean():
+    # E[N] = 2/3 and E[C] = 0.6: rho = 0.4 and E[R] = 1 / 0.6; rho_2 =
+    # (2/3) (1.44 / 3) < 1, so R has a finite variance
+    m = geometric_model(0.6, {"family": "uniform", "b": 1.2})
+    batch = run_batch(m, "linear", None, 20_000, seed=31)
+    assert batch.truncated_replications == 0
+    estimate, se = mean_se(batch.values)
+    assert abs(estimate - fixed_point_mean_exact(m)) <= 4.0 * se
+    assert fixed_point_mean_exact(m) == pytest.approx(1.0 / 0.6)
