@@ -46,7 +46,7 @@ from .engine import (
 )
 from .model import ModelError, VectorModel, make_model, mean_se, verdict
 from .moments import generation_moment_bound
-from .renewal import _MAX_CONVOLUTION, TiltError, verify_product_measure
+from .renewal import _MAX_CONVOLUTION, TiltError, _factorization_checks
 from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
                     DEFAULT_QUANTILE_BAND, TailError, ks_distance, tail_report)
 
@@ -416,25 +416,26 @@ def _over_cap(capped, err, check, **fields):
 
 
 def _verify_renewal(config, model, rng, capped):
-    """Factorization checks per n, kept up to the first n that fails."""
-    checks, n = [], None
+    """Factorization checks on one forest, up to the first n left out."""
+    checks, ns = [], set()  # ns stays empty unless alpha is solved
     try:
-        sol = _solve(config, model)
-        for n in config["verify"]["renewal_n"]:
-            for g in ("constant-1", "identity-u", "indicator"):
-                report = verify_product_measure(
-                    model, sol.alpha, n, g, config["verify"]["renewal_reps"],
-                    rng, threshold=config["verify"]["indicator_threshold"],
-                    budget=config["budget"])
-                checks.append(dict(report.to_dict(),
-                                   check="measure-factorization"))
+        alpha = _solve(config, model).alpha
+        ns = set(config["verify"]["renewal_n"])
+        for report in _factorization_checks(
+                model, alpha, ns, ("constant-1", "identity-u", "indicator"),
+                config["verify"]["renewal_reps"], rng,
+                config["verify"]["indicator_threshold"], config["budget"]):
+            checks.append(dict(report.to_dict(),
+                               check="measure-factorization"))
+    except _WidthError as err:
+        checks.append(_over_cap(capped, err, "measure-factorization",
+                                n=min(ns - {c["n"] for c in checks})))
     except (SolverError, TiltError) as err:
+        n = min(ns - {c["n"] for c in checks}, default=None)
         checks.append({"check": "measure-factorization",
                        "status": "precondition-unmet",
                        "reason": str(err) if n is None else f"n={n}: {err}",
                        "holds": None})
-    except _WidthError as err:
-        checks.append(_over_cap(capped, err, "measure-factorization", n=n))
     return checks
 
 

@@ -5,8 +5,9 @@ E[sum_i C_i^alpha g(log C_i)] defines a probability measure eta on the
 log-weight line, and the generation-n weighted measure factorizes as the
 n-fold convolution of eta.  This module builds eta in closed form for
 the supported weight families and verifies the factorization by two
-independent Monte Carlo routes: a tree side grown as one forest from the
-shared generator, and a convolution-side sum of iid tilted draws.
+independent Monte Carlo routes: a tree side at each generation n of one
+forest grown from the shared generator, and a convolution side from the
+prefix sums of one block of iid tilted steps.
 
 The verification is the numerical heart of the tail analysis: the
 plateau constant and the tilted mean both stand on this identity.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .model import (LognormalValue, ModelError, UniformValue, dominance_ratio,
                     mean_se, moment_function, moment_function_deriv, verdict)
-from .engine import DEFAULT_BUDGET, generation_frontier
+from .engine import DEFAULT_BUDGET, _WidthError, generation_frontier
 
 _MASS_TOL = 1e-10
 _MAX_CONVOLUTION = 4
@@ -92,33 +93,7 @@ def make_tilted(model, alpha):
     )
 
 
-def _g_constant(u):
-    return np.ones_like(u)
-
-
-def _g_identity(u):
-    return u
-
-
-def _g_exp_bounded(u):
-    return np.exp(-np.abs(u))
-
-
 TEST_FUNCTIONS = ("constant-1", "identity-u", "indicator", "exp-bounded")
-
-
-def _resolve_g(name, threshold):
-    if name == "constant-1":
-        return _g_constant, "constant-1"
-    if name == "identity-u":
-        return _g_identity, "identity-u"
-    if name == "exp-bounded":
-        return _g_exp_bounded, "exp-bounded"
-    if name == "indicator":
-        def g(u):
-            return (u <= threshold).astype(float)
-        return g, f"indicator(u<={threshold:g})"
-    raise TiltError(f"unknown test function {name!r}; pick from {TEST_FUNCTIONS}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +142,7 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
     so every tree counts.  Convolution side:
     E[g(U_1 + ... + U_n)] with iid tilted increments, in closed form
     for the constant function (the n-th power of the total mass) and by
-    Monte Carlo otherwise.
+    Monte Carlo otherwise, drawn after the forest.
 
     Parameters
     ----------
@@ -186,32 +161,55 @@ def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
     -------
     DualEstimateReport
     """
-    if n not in range(1, _MAX_CONVOLUTION + 1):
+    return next(_factorization_checks(model, alpha, [n], [g], reps, rng,
+                                      threshold, budget))
+
+
+def _factorization_checks(model, alpha, ns, gs, reps, rng, threshold=0.0,
+                          budget=DEFAULT_BUDGET):
+    """``verify_product_measure`` for every n in ``ns``, ascending, and g
+    in ``gs``, on one forest grown to the largest n and, unless every g is
+    constant-1, one block of tilted steps whose prefix sums give every S_n.
+    A forest that fails at some generation yields the reports of the n
+    before it, then raises.
+    """
+    if not set(ns) <= set(range(1, _MAX_CONVOLUTION + 1)):
         raise TiltError(f"n must be in 1..{_MAX_CONVOLUTION}")
     if reps < 2:
         raise TiltError("reps must be >= 2")
-    g_fn, g_name = _resolve_g(g, threshold)
+    g_fns = {"constant-1": np.ones_like, "identity-u": lambda u: u,
+             "indicator": lambda u: (u <= threshold).astype(float),
+             "exp-bounded": lambda u: np.exp(-np.abs(u))}
+    if not set(gs) <= set(g_fns):
+        raise TiltError(f"unknown test function in {list(gs)}; "
+                        f"pick from {TEST_FUNCTIONS}")
     tilted = make_tilted(model, alpha)
-
-    for pi, owner, alive in generation_frontier(model, n, reps, budget, rng):
-        if not alive.all():
-            raise TiltError("node budget hit while folding the tree side")
-    powered = pi ** alpha
-    masses = np.bincount(owner, powered, minlength=reps)
-    contributions = np.bincount(owner, powered * g_fn(np.log(pi)),
-                                minlength=reps)
-    lhs, lhs_se = mean_se(contributions)
-    heavy = dominance_ratio(masses) > 0.05
-
-    if g == "constant-1":
-        rhs = tilted.total_mass ** n
-        rhs_se = 0.0
-        rhs_method = "closed-form"
-    else:
-        walks = tilted.sample(rng, (reps, n)).sum(axis=1)
-        rhs, rhs_se = mean_se(g_fn(walks))
-        rhs_method = "monte-carlo"
-
-    agree = verdict(abs(lhs - rhs), 0.0, math.hypot(lhs_se, rhs_se))
-    return DualEstimateReport(n, g_name, lhs, lhs_se, rhs, rhs_se,
-                              agree, bool(heavy), rhs_method)
+    grown, failure = {}, None
+    try:
+        for k, (pi, owner, alive) in enumerate(generation_frontier(
+                model, max(ns, default=0), reps, budget, rng)):
+            if not alive.all():
+                raise TiltError("node budget hit while folding the tree side")
+            if k in ns:
+                grown[k] = pi, owner
+    except (TiltError, _WidthError) as err:
+        failure = err
+    if any(g != "constant-1" for g in gs):
+        walks = tilted.sample(rng, (reps, max(grown, default=0))).cumsum(1)
+    for n, (pi, owner) in grown.items():
+        powered = pi ** alpha
+        masses = np.bincount(owner, powered, minlength=reps)
+        heavy = bool(dominance_ratio(masses) > 0.05)
+        for g in gs:
+            lhs, lhs_se = mean_se(np.bincount(
+                owner, powered * g_fns[g](np.log(pi)), minlength=reps))
+            rhs, rhs_se, rhs_method = tilted.total_mass**n, 0.0, "closed-form"
+            if g != "constant-1":
+                rhs, rhs_se = mean_se(g_fns[g](walks[:, n - 1]))
+                rhs_method = "monte-carlo"
+            agree = verdict(abs(lhs - rhs), 0.0, math.hypot(lhs_se, rhs_se))
+            g_name = f"indicator(u<={threshold:g})" if g == "indicator" else g
+            yield DualEstimateReport(n, g_name, lhs, lhs_se, rhs, rhs_se,
+                                     agree, heavy, rhs_method)
+    if failure is not None:
+        raise failure

@@ -13,8 +13,9 @@ import yaml
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
-from branchtail import cli
+from branchtail import cli, renewal
 from branchtail.cli import DEFAULTS, ConfigError, load_config, main
+from branchtail.cramer import solve_alpha
 from branchtail.engine import (DEFAULT_BUDGET, _iterate_forest,
                                _martingale_forest, run_batch,
                                truncation_bound)
@@ -635,6 +636,58 @@ def test_verify_keeps_the_renewal_checks_that_completed(tmp_path):
     assert unmet["reason"].startswith("n=2: ")
 
 
+def test_verify_names_the_smallest_n_left_incomplete(tmp_path):
+    # the depth-3 forest hits the two-node budget in generation 2, so n = 3
+    # is the first requested n without reports
+    path = quick_verify_config(tmp_path, budget=2)
+    assert main(["--config", path, "--set", "verify.renewal_n=[3, 1]",
+                 "verify"]) in (0, 3)
+    renewal = [c for c in read_json(tmp_path / "out" / "verification.json")
+               ["checks"] if c["check"] == "measure-factorization"]
+    assert [c.get("n") for c in renewal] == [1, 1, 1, None]
+    assert renewal[-1]["reason"].startswith("n=3: ")
+
+
+def test_verify_reads_renewal_n_as_an_ascending_set(tmp_path):
+    def checks(renewal_n):
+        out = tmp_path / str(renewal_n)
+        assert main(["--config", quick_verify_config(tmp_path),
+                     "--output-dir", str(out), "--set",
+                     f"verify.renewal_n={renewal_n}", "verify"]) in (0, 3)
+        return read_json(out / "verification.json")["checks"]
+
+    assert checks([3, 1, 1]) == checks([1, 3])
+
+
+def test_default_verify_grows_one_renewal_forest(tmp_path, monkeypatch):
+    depths = []
+    original = renewal.generation_frontier
+
+    def counted(model, depth, *args):
+        depths.append(depth)
+        return original(model, depth, *args)
+
+    monkeypatch.setattr(renewal, "generation_frontier", counted)
+    path = write_config(tmp_path, model_b_spec(),
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "verify"]) in (0, 3)
+    assert depths == [3]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_forest_reports_equal_single_checks(model_b09, n):
+    # each single check grows its own forest from a fresh generator; the
+    # battery reads all three g from one forest and one block of walks
+    alpha = solve_alpha(model_b09, bracket=(0.3, 3.0)).alpha
+    gs = ("constant-1", "identity-u", "indicator")
+    battery = list(renewal._factorization_checks(
+        model_b09, alpha, [n], gs, 2000, np.random.default_rng(11)))
+    assert battery == [
+        renewal.verify_product_measure(model_b09, alpha, n, g, 2000,
+                                       np.random.default_rng(11))
+        for g in gs]
+
+
 @pytest.mark.parametrize("depths, reps", [([0, 2], 300), ([0], 200)],
                          ids=["moment-grid", "iteration"])
 def test_verify_exits_one_when_every_tree_outgrows_the_budget(
@@ -756,7 +809,7 @@ def test_estimators_draw_from_independent_streams(analyzed, tmp_path,
     for name in ("tail_report", "tail_constant_report",
                  "generation_moment_bound"):
         spy(name)
-    spy("verify_product_measure", rng_at=5)
+    spy("_factorization_checks", rng_at=5)
     _, out = analyzed
     path = write_config(tmp_path, model_b_spec(0.9), seed=13,
                         output_dir=str(tmp_path / "out"))
@@ -765,7 +818,7 @@ def test_estimators_draw_from_independent_streams(analyzed, tmp_path,
     assert seen["tail_report"] != seen["tail_constant_report"]
     assert main(["--config", quick_verify_config(tmp_path),
                  "verify"]) in (0, 3)
-    assert seen["verify_product_measure"] != seen["generation_moment_bound"]
+    assert seen["_factorization_checks"] != seen["generation_moment_bound"]
 
 
 def test_forest_w_n_has_the_martingale_law(model_a):

@@ -30,9 +30,9 @@ def test_solve_model_a(model_a):
     assert sol.root_kind == "second-root-of-critical-pair"
 
 
-def test_solve_model_a_default_bracket_uses_critical_pattern(model_a):
-    # the default bracket does not straddle 1 for this model; the critical
-    # pattern restricts the search above 1 and lands on the second root
+def test_solve_model_a_default_bracket_lands_on_the_second_root(model_a):
+    # the moment function exceeds 1 at both default ends, so the convexity
+    # rule moves the low end to its least point; the root above it is alpha
     sol = solve_alpha(model_a)
     assert abs(sol.alpha - 2.0) <= 1e-8
     assert sol.root_kind == "second-root-of-critical-pair"
