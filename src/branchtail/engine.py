@@ -433,6 +433,8 @@ def truncation_bound(model, beta, depth, rng=None):
 
 _CSV_MAGIC = "branchtail-batch v1"
 _CSV_BLOCK_ROWS = 1 << 14
+_READ_BLOCK_BYTES = 1 << 18
+_ROW_SPACES = (b" ", b"\t", b"\r", b"\v", b"\f")
 
 
 def _floats_csv(array):
@@ -471,83 +473,99 @@ def write_batch_csv(batch, path):
 def read_batch_csv(path):
     """Reconstruct a SampleBatch written by write_batch_csv.
 
-    The ``# key=value`` header is parsed line by line; the value rows go
-    straight into one float64 array through numpy's text reader, whose
-    conversion is correctly rounded, so no Python float is made per row
-    and every repr-written value comes back bit for bit.  Blank rows
-    are skipped.
+    The ``# key=value`` header is parsed line by line.  Value rows are
+    read ``_READ_BLOCK_BYTES`` at a time, a block's partial last row
+    carried into the next, and numpy's correctly rounded text scanner
+    converts each block, so every repr-written value comes back bit for
+    bit and blank rows are skipped.  The values fill one float64 array
+    of the header's completed count, capped by what the bytes left in
+    the file can hold; beyond it the reader holds about two blocks.  A
+    read of 10^6 values (11.2 MB, 2 shared vCPUs of an Intel Xeon) takes
+    about 0.22 s, against 0.30 s for numpy's ``loadtxt`` (BENCH_25.json).
 
-    Raises EngineError on a field or row that does not parse, and on
-    values that break a SampleBatch invariant: a value that is not finite
-    or a value count other than the header's completed replications.
-    Per-replication node counts are not stored in the CSV; the returned
-    batch carries the aggregate statistics only.
+    Raises EngineError on a field or row that does not parse, a row that
+    holds whitespace, and on values that break a SampleBatch invariant:
+    a value that is not finite or a value count other than the header's
+    completed replications.  Per-replication node counts are not stored.
     """
     meta = {}
-    with open(path, newline="") as handle:
-        if handle.readline().strip() != f"# {_CSV_MAGIC}":
+    with open(path, "rb") as handle:
+        if handle.readline().strip() != f"# {_CSV_MAGIC}".encode():
             raise EngineError(f"{path} is not a batch CSV")
-        line = handle.readline().rstrip("\n")
+        line = handle.readline().decode().rstrip("\n")
         while line.startswith("# "):
             key, _, text = line[2:].partition("=")
             meta[key] = text
-            line = handle.readline().rstrip("\n")
+            line = handle.readline().decode().rstrip("\n")
         if line != "value":
             raise EngineError("batch CSV missing the value column")
-        start = handle.tell()
         try:
-            with warnings.catch_warnings():
-                # no value rows: the count check below rejects the file
-                warnings.filterwarnings("ignore", "loadtxt: input contained")
-                values = np.loadtxt(handle, dtype=float, delimiter=",",
-                                    comments=None, ndmin=1)
-                if values.ndim != 1:  # every row holds the same extra fields
-                    raise ValueError(f"value rows hold {values.shape[1]} fields")
-        except UnicodeDecodeError:  # the bytes are at fault, not a row
-            raise
+            depth = None if meta["depth"] == "exact" else int(meta["depth"])
+            level_mean = np.array([float(x) for x in meta["level_mean"].split(",")
+                                   if meta["level_mean"]])
+            level_max = np.array([int(x) for x in meta["level_max"].split(",")
+                                  if meta["level_max"]], dtype=np.int64)
+            fields = dict(
+                kind=meta["kind"],
+                depth=depth,
+                seed=int(meta["seed"]),
+                stream_count=int(meta["stream_count"]),
+                budget=int(meta["budget"]),
+                total_nodes=int(meta["total_nodes"]),
+                truncated_replications=int(meta["truncated_replications"]),
+                level_mean=level_mean,
+                level_max=level_max,
+                model_fingerprint=meta["model_fingerprint"],
+            )
+        except KeyError as exc:
+            raise EngineError(f"batch CSV missing metadata field {exc}") from None
         except ValueError as exc:
-            handle.seek(start)
-            raise EngineError(_bad_value_row(handle, exc)) from None
+            raise EngineError(f"batch CSV metadata does not parse: {exc}") from None
+        count = fields["stream_count"] - fields["truncated_replications"]
+        # a value row takes two bytes at least: a digit and its newline
+        room = (os.fstat(handle.fileno()).st_size - handle.tell() + 1) // 2
+        values = np.empty(max(0, min(count, room)))
+        filled, rows = 0, b""
+        for block in iter(lambda: handle.read(_READ_BLOCK_BYTES), b""):
+            rows += block
+            cut = rows.rfind(b"\n") + 1
+            filled = _scan_value_rows(rows[:cut], values, filled)
+            rows = rows[cut:]
+        filled = _scan_value_rows(rows, values, filled)  # no final newline
+    return SampleBatch(values=values[:filled], **fields)
+
+
+def _scan_value_rows(rows, values, filled):
+    """Scan whole value rows into ``values[filled:]``; return the new fill."""
+    if not rows.lstrip(b"\n"):  # blank rows alone would scan as one -1
+        return filled
     try:
-        depth = None if meta["depth"] == "exact" else int(meta["depth"])
-        level_mean = (np.array([float(x) for x in meta["level_mean"].split(",")])
-                      if meta["level_mean"] else np.zeros(0))
-        level_max = (np.array([int(x) for x in meta["level_max"].split(",")],
-                              dtype=np.int64)
-                     if meta["level_max"] else np.zeros(0, dtype=np.int64))
-        fields = dict(
-            kind=meta["kind"],
-            depth=depth,
-            values=values,
-            seed=int(meta["seed"]),
-            stream_count=int(meta["stream_count"]),
-            budget=int(meta["budget"]),
-            total_nodes=int(meta["total_nodes"]),
-            truncated_replications=int(meta["truncated_replications"]),
-            level_mean=level_mean,
-            level_max=level_max,
-            model_fingerprint=meta["model_fingerprint"],
-        )
-    except KeyError as exc:
-        raise EngineError(f"batch CSV missing metadata field {exc}") from None
-    except ValueError as exc:
-        raise EngineError(f"batch CSV metadata does not parse: {exc}") from None
-    return SampleBatch(**fields)
+        # the scanner splits on any whitespace, not only on newlines
+        if any(space in rows for space in _ROW_SPACES):
+            raise ValueError("a value row holds whitespace")
+        with warnings.catch_warnings():
+            # numpy 1.x warns and returns a prefix where 2.x raises
+            warnings.simplefilter("error", DeprecationWarning)
+            scanned = np.fromstring(rows, sep="\n")
+    except (ValueError, DeprecationWarning) as exc:
+        raise EngineError(_bad_value_row(rows, exc)) from None
+    if scanned.size > values.size - filled:
+        raise EngineError("batch values outnumber the completed replications")
+    values[filled:filled + scanned.size] = scanned
+    return filled + scanned.size
 
 
 def _bad_value_row(rows, exc):
-    """Message naming the first value row the text reader rejected."""
-    for line in rows:
-        line = line.rstrip("\n")
-        if not line:
-            continue
+    """Message naming the first row of a refused block that is not a number."""
+    for line in filter(None, rows.split(b"\n")):
         try:
             float(line)
         except ValueError:
             break
     else:
         return f"batch CSV value rows do not parse: {exc}"
-    return f"batch CSV value row {line!r} is not a number"
+    text = line.decode(errors="backslashreplace")
+    return f"batch CSV value row {text!r} is not a number"
 
 
 def summary(batch):

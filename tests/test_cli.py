@@ -559,6 +559,24 @@ def test_bad_value_section_exits_one_in_one_line(corrupt_target, values):
         assert "'1.0,2.0'" in lines[0]
 
 
+# 8 TB, and more than a 64-bit address space holds
+@pytest.mark.parametrize("count", [10 ** 12, 10 ** 17])
+def test_batch_count_beyond_the_file_exits_one_on_the_count(corrupt_target,
+                                                            capsys, count):
+    # the reader sizes its array by the bytes left in the file as well
+    config, batch = corrupt_target
+    rows = [f"# stream_count={count}"
+            if row.startswith("# stream_count=") else row
+            for row in batch.read_text().split("\n")]
+    huge = batch.with_name("huge.csv")
+    huge.write_text("\n".join(rows))
+    capsys.readouterr()
+    assert main(["--config", config, "analyze", "--batch", str(huge)]) == 1
+    assert capsys.readouterr().err == (
+        "cannot read batch: batch values disagree with the count of "
+        "completed replications\n")
+
+
 # verify
 
 

@@ -478,21 +478,37 @@ def test_csv_round_trip_exact_mode(model_b09, tmp_path):
     assert np.array_equal(loaded.values, batch.values)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, allow_nan=False,
-                          allow_infinity=False), min_size=1, max_size=20))
-def test_csv_round_trip_keeps_every_bit(values):
-    values = np.array(values, dtype=float)
-    batch = SampleBatch(
+def _value_batch(values):
+    """A SampleBatch that holds ``values`` and nothing of note besides."""
+    values = np.asarray(values, dtype=float)
+    return SampleBatch(
         kind="linear", depth=3, values=values, seed=0,
         stream_count=values.size, budget=1, total_nodes=values.size,
         truncated_replications=0, level_mean=np.ones(1),
         level_max=np.ones(1, dtype=np.int64), model_fingerprint="f")
-    with tempfile.TemporaryDirectory() as tmp:
+
+
+def _value_rows(path):
+    """A batch CSV's text up to its value rows, and the rows."""
+    text = path.read_text()
+    start = text.index("\nvalue\n") + len("\nvalue\n")
+    return text[:start], text[start:].split("\n")[:-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False,
+                          allow_infinity=False), min_size=1, max_size=20),
+       st.integers(1, 40) | st.just(engine._READ_BLOCK_BYTES))
+def test_csv_round_trip_keeps_every_bit(values, block):
+    # a small block puts rows across block boundaries
+    batch = _value_batch(values)
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_READ_BLOCK_BYTES", block)
         path = Path(tmp) / "batch.csv"
         write_batch_csv(batch, path)
         loaded = read_batch_csv(path)
-    assert loaded.values.tobytes() == values.tobytes()
+    assert loaded.values.tobytes() == batch.values.tobytes()
 
 
 def test_read_batch_csv_holds_little_beyond_the_values(tmp_path):
@@ -512,6 +528,87 @@ def test_read_batch_csv_holds_little_beyond_the_values(tmp_path):
         tracemalloc.stop()
     assert loaded.values.tobytes() == values.tobytes()
     assert peak < 2 * values.nbytes + 2 ** 20
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 18])
+@pytest.mark.parametrize("end", ["\n\n\n", ""], ids=["blank-rows", "no-newline"])
+def test_blank_rows_are_skipped_at_any_block_size(tmp_path, monkeypatch,
+                                                  block, end):
+    # a block of blank rows alone must add no value
+    monkeypatch.setattr(engine, "_READ_BLOCK_BYTES", block)
+    path = tmp_path / "batch.csv"
+    write_batch_csv(_value_batch([0.5, 2.0, 0.0]), path)
+    head, rows = _value_rows(path)
+    path.write_text(head + "\n\n".join(rows) + end)
+    assert read_batch_csv(path).values.tolist() == [0.5, 2.0, 0.0]
+
+
+def test_a_bad_row_across_two_blocks_is_named(tmp_path, monkeypatch):
+    path = tmp_path / "batch.csv"
+    write_batch_csv(_value_batch(np.arange(30) / 7.0), path)
+    head, rows = _value_rows(path)
+    rows[11] = "12x45"
+    path.write_text(head + "\n".join(rows) + "\n")
+    # the first block ends two bytes into the bad row
+    start = len("\n".join(rows[:11])) + 1
+    monkeypatch.setattr(engine, "_READ_BLOCK_BYTES", start + 2)
+    with pytest.raises(EngineError, match="value row '12x45' is not a number"):
+        read_batch_csv(path)
+
+
+@pytest.mark.parametrize("row, replaces, message", [
+    # numpy's scanner splits on any whitespace: this row would read as two
+    # values, and with the next row gone the count would still match
+    ("1.0 2.0", 2, "value row '1.0 2.0' is not a number"),
+    ("1.0\t2.0", 2, r"value row '1.0\\t2.0' is not a number"),
+    ("1.0\r2.0", 2, r"value row '1.0\\r2.0' is not a number"),
+    (" 1.0", 1, "a value row holds whitespace"),
+], ids=["space", "tab", "carriage-return", "padded"])
+def test_a_row_holding_whitespace_is_refused(tmp_path, row, replaces,
+                                             message):
+    path = tmp_path / "batch.csv"
+    write_batch_csv(_value_batch([0.5, 0.25, 3.0]), path)
+    head, rows = _value_rows(path)
+    rows[:replaces] = [row]
+    path.write_bytes((head + "\n".join(rows) + "\n").encode())
+    with pytest.raises(EngineError, match=message):
+        read_batch_csv(path)
+
+
+def test_more_values_than_completed_replications_are_refused(tmp_path):
+    path = tmp_path / "batch.csv"
+    write_batch_csv(_value_batch([0.5, 0.25, 3.0]), path)
+    head, rows = _value_rows(path)
+    path.write_text(head + "\n".join(rows + rows[:1]) + "\n")
+    with pytest.raises(EngineError, match="outnumber the completed"):
+        read_batch_csv(path)
+
+
+def test_a_scanner_that_warns_like_numpy_1_is_refused_quietly(tmp_path,
+                                                             monkeypatch):
+    path = tmp_path / "batch.csv"
+    write_batch_csv(_value_batch([0.5, 0.25, 3.0]), path)
+    head, rows = _value_rows(path)
+    rows[1] = "abc"
+    path.write_text(head + "\n".join(rows) + "\n")
+    scan = np.fromstring
+
+    def numpy1_fromstring(text, sep):
+        # numpy 1.x warns on an unparsable row and returns what came before
+        try:
+            return scan(text, sep=sep)
+        except ValueError:
+            warnings.warn("string or file could not be read to its end due "
+                          "to unmatched data; this will raise a ValueError "
+                          "in the future.", DeprecationWarning)
+            return scan(text[:text.index(b"abc")], sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", numpy1_fromstring)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EngineError, match="value row 'abc' is not a"):
+            read_batch_csv(path)
+    assert caught == []
 
 
 def test_summary_is_json_ready(model_b09):
