@@ -23,13 +23,14 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 import yaml
 
 from .constants import ConstantError, tail_constant_report
-from .cramer import DEFAULT_BRACKET, SolverError, check_conditions, solve_alpha
+from .cramer import SolverError, check_conditions, solve_alpha
 from .engine import (
     DEFAULT_BUDGET,
     KINDS,
@@ -50,7 +51,7 @@ from .renewal import _MAX_CONVOLUTION, TiltError, _factorization_checks
 from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
                     DEFAULT_QUANTILE_BAND, TailError, ks_distance, tail_report)
 
-SCHEMA = "branchtail-report-v1"
+SCHEMA = "branchtail-report-v2"
 OUTPUT_DIR_ENV = "BRANCHTAIL_OUTPUT_DIR"
 
 DEFAULTS = {
@@ -64,7 +65,6 @@ DEFAULTS = {
     "output_dir": None,
     "truncation_beta": 0.5,
     "solver": {
-        "bracket": list(DEFAULT_BRACKET),
         "tol": 1e-12,
         "epsilon": 0.5,
     },
@@ -94,7 +94,7 @@ DEFAULTS = {
 # hold otherwise) and which lists have a fixed length.
 _NULLABLE = {"depth": int, "output_dir": str, "tails.k": int,
              "tails.alpha": float}
-_PAIRS = ("solver.bracket", "tails.quantile_band", "verify.iterate_starts")
+_PAIRS = ("tails.quantile_band", "verify.iterate_starts")
 # Ranges, judged once the types hold; every float must also be finite.
 _RANGES = (
     ("seed", lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
@@ -274,15 +274,9 @@ def _jsonable(value):
 # subcommands
 
 
-def _solve(config, model):
-    solver = config["solver"]
-    return solve_alpha(model, bracket=tuple(solver["bracket"]),
-                       tol=solver["tol"])
-
-
 def _solve_and_check(config, model):
     """Root and theorem-condition report; raises SolverError without a root."""
-    sol = _solve(config, model)
+    sol = solve_alpha(model, tol=config["solver"]["tol"])
     return sol, check_conditions(model, sol, config["kind"],
                                  epsilon=config["solver"]["epsilon"])
 
@@ -300,15 +294,8 @@ def cmd_solve_alpha(config):
         "mu": sol.mu,
         "residual": sol.residual,
         "root_kind": sol.root_kind,
-        "bracket": list(sol.bracket),
         "kind": config["kind"],
-        "conditions": [{
-            "name": e.name,
-            "status": e.status,
-            "evidence": e.evidence,
-            "value": e.value,
-            "std_error": e.std_error,
-        } for e in conditions.entries],
+        "conditions": [asdict(e) for e in conditions.entries],
         "passed": conditions.overall_pass,
     })
     return 0 if conditions.overall_pass else 2
@@ -396,7 +383,7 @@ def cmd_analyze(config, batch_path):
 
     constant_payload = {"available": False, "reason": None}
     try:
-        sol = _solve(config, model)
+        sol = solve_alpha(model, tol=config["solver"]["tol"])
         constant = tail_constant_report(
             model, sol, batch.kind, r_batch=batch,
             rng=np.random.default_rng(constant_seed))
@@ -419,7 +406,7 @@ def _verify_renewal(config, model, rng, capped):
     """Factorization checks on one forest, up to the first n left out."""
     checks, ns = [], set()  # ns stays empty unless alpha is solved
     try:
-        alpha = _solve(config, model).alpha
+        alpha = solve_alpha(model, tol=config["solver"]["tol"]).alpha
         ns = set(config["verify"]["renewal_n"])
         for report in _factorization_checks(
                 model, alpha, ns, ("constant-1", "identity-u", "indicator"),

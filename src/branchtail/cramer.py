@@ -34,10 +34,16 @@ __all__ = [
     "ConditionReport",
     "solve_alpha",
     "check_conditions",
-    "DEFAULT_BRACKET",
 ]
 
-DEFAULT_BRACKET = (0.1, 8.0)
+# alpha is sought on [_FLOOR, _CEILING]; every count and weight family here
+# has E[C^theta] finite for all theta > 0, so the ends bound only the search
+_FLOOR = 2.0 ** -6
+_CEILING = 2.0 ** 10
+# the canonical last step scans the doubles with residual at most _ZONE,
+# up to _ZONE_STEPS of them each way from where the bisection stopped
+_ZONE = 64 * np.finfo(float).eps
+_ZONE_STEPS = 2 ** 14
 _CRITICAL_TOL = 1e-9  # |moment_function(1) - 1| below this flags the critical pair
 
 
@@ -73,7 +79,6 @@ class CramerSolution:
     mu: float          # derivative of the moment function at alpha
     residual: float    # |moment_function(alpha) - 1|
     root_kind: str     # "unique-root" | "second-root-of-critical-pair"
-    bracket: tuple
 
 
 @dataclass
@@ -100,33 +105,25 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
+def solve_alpha(model, tol=1e-12):
     """Locate alpha with moment_function(model, alpha) = 1, derivative > 0.
 
-    Bisection on the sign of the moment function minus 1, halving the
-    bracket until no double lies strictly between its ends; alpha is the
-    end with the smaller residual, so it is resolved to the last bit.
-    ``tol`` is the largest residual |moment_function(alpha) - 1| accepted.
-    The moment function E[N] E[C^theta] is log-convex (Hoelder), so it
-    crosses 1 at most twice, rising only past its minimum.  The bracket
-    must contain alpha but need not straddle it: when the moment function
-    is at least 1 at ``lo`` and above 1 at ``hi``, its minimum (the sign
-    change of its derivative, found by the same bisection) replaces
-    ``lo``.  ``bracket`` in the result holds the ends the final bisection
-    started from.
+    alpha is a function of the model alone.  The moment function
+    E[N] E[C^theta] is log-convex (Hoelder), so it crosses 1 at most twice
+    and rises through 1 only past its least point.  The solver bisects that
+    rise between the least point and _CEILING down to adjacent doubles,
+    then returns the canonical double of ``_least_residual``.  ``tol`` is
+    the largest residual |moment_function(alpha) - 1| accepted.
 
     Raises
     ------
     NoSignChangeError
-        The moment function does not cross 1 on the bracket.
+        The moment function does not cross 1 on [_FLOOR, _CEILING].
     ContractionRootError
-        The root exists but the derivative there is nonpositive.
+        It crosses 1 only while falling; the error carries that root.
     SolverError
-        Invalid bracket or tol, or the best double's residual exceeds tol.
+        Invalid tol, or the best double's residual exceeds tol.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 < lo < hi):
-        raise SolverError(f"invalid bracket {bracket!r}")
     if tol <= 0:
         raise SolverError("tol must be positive")
 
@@ -136,27 +133,22 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
     def df(theta):
         return moment_function_deriv(model, theta).value
 
-    flo, fhi = f(lo), f(hi)
-    if flo >= 0 and fhi > 0 and df(lo) < 0 < df(hi):
-        # the log-convex moment function can only rise through 1 past its
-        # least point, the sign change of its derivative
-        lo = _bisect(df, lo, hi, df(lo), df(hi))[0]
-        flo = f(lo)
-    if flo == 0.0:
-        root, residual = lo, 0.0
-    elif fhi == 0.0:
-        root, residual = hi, 0.0
-    else:
-        if flo * fhi > 0:
-            raise NoSignChangeError(
-                f"moment function minus 1 has no sign change on "
-                f"[{lo:g}, {hi:g}] (values {flo:.3g}, {fhi:.3g})"
-            )
-        root, residual = _bisect(f, lo, hi, flo, fhi)
-        if residual > tol:
-            raise SolverError(
-                f"no double within tol of the root: residual {residual:.3g} "
-                f"at alpha = {root!r}")
+    least = _least_point(df)
+    f_least, f_ceiling, f_floor = f(least), f(_CEILING), f(_FLOOR)
+    if f_least < 0 <= f_ceiling:
+        root = _bisect(f, least, _CEILING, f_least, f_ceiling)
+    elif f_least < 0 <= f_floor:
+        root = _bisect(f, _FLOOR, least, f_floor, f_least)
+    else:  # a least value of exactly 1 touches 1 without crossing it
+        raise NoSignChangeError(
+            f"moment function does not cross 1 on [{_FLOOR:g}, "
+            f"{_CEILING:g}]: its least value there is {f_least + 1.0:.6g}, "
+            f"at theta = {least:.6g}")
+    residual, root = _least_residual(f, root)
+    if residual > tol:
+        raise SolverError(
+            f"no double within tol of the root: residual {residual:.3g} "
+            f"at alpha = {root!r}")
     mu = df(root)
     if mu <= 0:
         raise ContractionRootError(root, mu, residual)
@@ -166,39 +158,55 @@ def solve_alpha(model, bracket=DEFAULT_BRACKET, tol=1e-12):
         mu=mu,
         residual=residual,
         root_kind="second-root-of-critical-pair" if second else "unique-root",
-        bracket=(lo, hi),
     )
 
 
-def _bisect(f, lo, hi, flo, fhi):
-    """Halve a sign change of f until its ends are adjacent doubles.
+def _least_point(df):
+    """The least point on [_FLOOR, _CEILING], where the derivative df
+    changes sign: bisected between the floor and the first of 1, 2, 4, ...
+    where df is not negative."""
+    lo, hi = _FLOOR, 1.0
+    while df(hi) < 0 and hi < _CEILING:
+        lo, hi = hi, 2.0 * hi
+    dlo, dhi = df(lo), df(hi)
+    if dlo < 0 <= dhi:
+        return _bisect(df, lo, hi, dlo, dhi)
+    return lo if dhi >= 0 else hi
 
-    Takes the end with the smaller |f|, then steps to a neighbouring
-    double while that has a strictly smaller |f|: near the root the
-    computed f need not be monotone at the scale of one ulp, so the best
-    double can lie just outside the last sign change.  Returns that
-    double and its |f|.
-    """
+
+def _bisect(f, lo, hi, flo, fhi):
+    """Halve a sign change of f until its ends are adjacent doubles; return
+    the end with the smaller |f|."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            break
+            return lo if abs(flo) <= abs(fhi) else hi
         fm = f(mid)
-        if fm == 0.0:
-            return mid, 0.0
         if (fm < 0) == (flo < 0):
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-    best, residual = (lo, abs(flo)) if abs(flo) <= abs(fhi) else (hi, abs(fhi))
+
+
+def _least_residual(f, theta):
+    """(|f|, double): the least |f|, the lower double on ties, over the run
+    of doubles around theta where |f| <= _ZONE.
+
+    Where f rises slowly through 0 the computed f is not monotone at the
+    scale of one ulp, and its sign changes spread over many doubles;
+    scanning the whole run makes the answer independent of the one the
+    bisection stopped at.
+    """
+    best = (abs(f(theta)), theta)
     for direction in (-math.inf, math.inf):
-        while residual > 0.0:
-            step = float(np.nextafter(best, direction))
-            r_step = abs(f(step))
-            if not r_step < residual:
+        step = theta
+        for _ in range(_ZONE_STEPS):
+            step = math.nextafter(step, direction)
+            here = (abs(f(step)), step)
+            if not here[0] <= _ZONE:
                 break
-            best, residual = step, r_step
-    return best, residual
+            best = min(best, here)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ def model_b_spec(c_scale=1.0):
 
 
 def poisson2_spec():
-    # supercritical Poisson(2) counts; alpha = 0.9408 on the bracket [0.5, 4]
+    # supercritical Poisson(2) counts; the moment function is above 1 at
+    # 0.1 and at 8, and alpha = 0.9408 lies past its least point
     return {
         "n": {"family": "poisson", "mean": 2.0},
         "c": {"family": "lognormal", "mu": -4.5, "sigma2": 8.0},

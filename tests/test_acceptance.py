@@ -5,10 +5,13 @@ expensive batches (exact tree samples at 10^6 replications and the
 depth-30 critical batch at 10^5) are module-scoped and shared between
 tests.  Statistical checks run at fixed seeds; tolerance windows are
 three standard errors unless a tighter deterministic bound applies.
+The three batches run on every CPU: a batch is the same for any worker
+count (tests/test_engine.py checks it), so only their wall time moves.
 """
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -37,19 +40,21 @@ _MEAN_GRID_REPS = 20_000
 @pytest.fixture(scope="module")
 def b_exact(model_b):
     start = time.perf_counter()
-    batch = run_batch(model_b, "linear", None, 1_000_000, seed=101)
+    batch = run_batch(model_b, "linear", None, 1_000_000, seed=101,
+                      workers=os.cpu_count())
     return batch, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def b_max_exact(model_b):
-    return run_batch(model_b, "max", None, 1_000_000, seed=103)
+    return run_batch(model_b, "max", None, 1_000_000, seed=103,
+                     workers=os.cpu_count())
 
 
 @pytest.fixture(scope="module")
 def a_critical(model_a):
     return run_batch(model_a, "homogeneous-martingale", 30, 100_000,
-                     budget=10 ** 7, seed=105)
+                     budget=10 ** 7, seed=105, workers=os.cpu_count())
 
 
 @pytest.fixture(scope="module")

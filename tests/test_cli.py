@@ -78,7 +78,7 @@ def test_solve_alpha_critical_pair_homogeneous(tmp_path):
     assert payload["alpha"] == pytest.approx(2.0, abs=1e-8)
     assert payload["root_kind"] == "second-root-of-critical-pair"
     assert payload["passed"] is True
-    assert payload["schema"] == "branchtail-report-v1"
+    assert payload["schema"] == "branchtail-report-v2"
 
 
 def test_solve_alpha_condition_failure_exits_two(tmp_path):
@@ -125,15 +125,24 @@ def test_solve_alpha_no_sign_change_exits_one(tmp_path, capsys):
         "c": {"family": "deterministic", "value": 0.5},
         "q": {"family": "deterministic", "value": 1.0},
     }
-    path = write_config(tmp_path, spec,
-                        solver={"bracket": [2.0, 5.0]},
-                        output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, spec, output_dir=str(tmp_path / "out"))
     assert main(["--config", path, "solve-alpha"]) == 1
     assert "solver failed" in capsys.readouterr().err
 
 
+def test_a_config_setting_the_removed_bracket_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, model_b_spec(),
+                        solver={"bracket": [0.1, 8.0]},
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "solve-alpha"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: unknown config key: solver.bracket\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_bracket_solves_and_certifies_poisson2(tmp_path):
-    # E[N] = 2 puts the moment function above 1 at both default ends
+    # E[N] = 2 puts the moment function above 1 at both ends of (0.1, 8),
+    # the bracket the solver took by default before 0.11.0
     path = write_config(tmp_path, poisson2_spec(), depth=6, reps=200,
                         output_dir=str(tmp_path / "out"))
     assert main(["--config", path, "solve-alpha"]) == 0
@@ -280,8 +289,7 @@ def test_analyze_martingale_below_one_has_no_upper_bound(tmp_path):
     # alpha = 0.94 < 1: no (p - 1)-th moment for the martingale bound
     path = write_config(tmp_path, poisson2_spec(),
                         kind="homogeneous-martingale", depth=6, reps=8_000,
-                        seed=3, solver={"bracket": [0.5, 4.0]},
-                        output_dir=str(tmp_path / "out"))
+                        seed=3, output_dir=str(tmp_path / "out"))
     assert main(["--config", path, "simulate", "--force"]) == 0
     assert main(["--config", path, "analyze", "--batch",
                  str(tmp_path / "out" / "batch.csv")]) == 0
@@ -323,6 +331,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "verify.iterate_reps=1", "verify"], None),
     # the self-test is the verify flag's alone
     (["--set", "verify.corrupt_bound_self_test=true", "verify"], None),
+    # removed in 0.11.0: alpha no longer depends on a search bracket
+    (["--set", "solver.bracket=[0.1, 8.0]", "solve-alpha"], None),
     (["--set", "tails.bootstrap=1", "solve-alpha"], None),
     (["--set", "tails.bootstrap=-1", "solve-alpha"], None),
     (["--seed", "-1", "verify"], None),
@@ -365,7 +375,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "float-list-word", "float-list-short", "set-section", "kind-word",
         "float-list-nan", "float-nan", "truncation-beta-zero",
         "truncation-beta-negative", "threshold-nan", "tol-nan", "tol-inf",
-        "tol-zero", "verify-reps-one", "self-test-leaf", "bootstrap-one",
+        "tol-zero", "verify-reps-one", "self-test-leaf", "bracket-leaf",
+        "bootstrap-one",
         "bootstrap-negative", "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
         "renewal-n-zero", "renewal-n-five", "model-scale-word",
@@ -696,7 +707,7 @@ def test_default_verify_grows_one_renewal_forest(tmp_path, monkeypatch):
 def test_one_forest_reports_equal_single_checks(model_b09, n):
     # each single check grows its own forest from a fresh generator; the
     # battery reads all three g from one forest and one block of walks
-    alpha = solve_alpha(model_b09, bracket=(0.3, 3.0)).alpha
+    alpha = solve_alpha(model_b09).alpha
     gs = ("constant-1", "identity-u", "indicator")
     battery = list(renewal._factorization_checks(
         model_b09, alpha, [n], gs, 2000, np.random.default_rng(11)))

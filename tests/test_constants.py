@@ -23,12 +23,12 @@ def det(value):
 
 @pytest.fixture(scope="module")
 def sol_b(model_b):
-    return solve_alpha(model_b, bracket=(0.3, 3.0))
+    return solve_alpha(model_b)
 
 
 @pytest.fixture(scope="module")
 def sol_a(model_a):
-    return solve_alpha(model_a, bracket=(1.2, 4.0))
+    return solve_alpha(model_a)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_bounds_one_sided_away_from_one(model_a, sol_a, model_b09):
     lower, upper = tail_constant_bounds(model_a, sol_a, "linear")
     assert upper is None
     assert lower == pytest.approx(1.0 / (2.0 * sol_a.mu), rel=1e-12)
-    sol_b09 = solve_alpha(model_b09, bracket=(0.3, 3.0))
+    sol_b09 = solve_alpha(model_b09)
     assert sol_b09.alpha > 1.0
     low_09, up_09 = tail_constant_bounds(model_b09, sol_b09, "max")
     assert low_09 is None  # the max integrand never exceeds Q^alpha
@@ -155,7 +155,7 @@ def test_bounds_one_sided_away_from_one(model_a, sol_a, model_b09):
 
 def test_bounds_max_kinds_upper_below_one():
     m = make_model(dict(model_b_spec(), c_scale=1.1))
-    sol = solve_alpha(m, bracket=(0.3, 3.0))
+    sol = solve_alpha(m)
     assert sol.alpha < 1.0
     expected = 1.0 / (sol.alpha * sol.mu)
     for kind in ("max", "max-plus"):
@@ -172,7 +172,7 @@ def test_bounds_martingale_needs_batch(model_a, sol_a):
 
 def test_bounds_martingale_fractional_upper_dominates_mc(model_a):
     scaled = make_model(dict(model_a_spec(), c_scale=0.95))
-    sol = solve_alpha(scaled, bracket=(1.2, 4.0))
+    sol = solve_alpha(scaled)
     assert abs(sol.alpha - round(sol.alpha)) > 1e-3
     batch = run_batch(scaled, "homogeneous-martingale", 12, 30_000, seed=5)
     lower, upper = tail_constant_bounds(
@@ -199,7 +199,7 @@ def test_report_routes_agree_for_additive_model(model_b, sol_b, batch_b):
 
 
 def test_report_absent_routes_are_none(model_b09):
-    sol = solve_alpha(model_b09, bracket=(0.3, 3.0))
+    sol = solve_alpha(model_b09)
     report = tail_constant_report(model_b09, sol, "max")
     assert report.closed_form is None
     assert report.mc_value is None and report.mc_std_error is None

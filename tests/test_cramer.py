@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from branchtail.cramer import (
-    DEFAULT_BRACKET,
     ContractionRootError,
     CramerSolution,
     NoSignChangeError,
+    _least_point,
+    _least_residual,
     check_conditions,
     solve_alpha,
 )
-from branchtail.model import make_model, moment_function, reduce_to_parents
+from branchtail.model import (make_model, moment_function,
+                              moment_function_deriv, reduce_to_parents)
 
 from conftest import (ALPHA_UNIFORM, MU_A, MU_B, model_a_spec, model_b_spec,
                       poisson2_spec)
@@ -23,7 +25,7 @@ def det(value):
 
 
 def test_solve_model_a(model_a):
-    sol = solve_alpha(model_a, bracket=(1.2, 4.0), tol=1e-12)
+    sol = solve_alpha(model_a, tol=1e-12)
     assert abs(sol.alpha - 2.0) <= 1e-8
     assert sol.residual <= 1e-12
     assert sol.mu == pytest.approx(MU_A, rel=1e-9)
@@ -31,15 +33,16 @@ def test_solve_model_a(model_a):
 
 
 def test_solve_model_a_default_bracket_lands_on_the_second_root(model_a):
-    # the moment function exceeds 1 at both default ends, so the convexity
-    # rule moves the low end to its least point; the root above it is alpha
+    # the moment function exceeds 1 at both ends of (0.1, 8), the bracket
+    # the solver took by default before 0.11.0; it falls through 1 at 1 and
+    # rises through 1 at 2, and only the rising root is alpha
     sol = solve_alpha(model_a)
     assert abs(sol.alpha - 2.0) <= 1e-8
     assert sol.root_kind == "second-root-of-critical-pair"
 
 
 def test_solve_model_b(model_b):
-    sol = solve_alpha(model_b, bracket=(0.3, 3.0))
+    sol = solve_alpha(model_b)
     assert abs(sol.alpha - 1.0) <= 1e-8
     assert sol.mu == pytest.approx(MU_B, rel=1e-12)
     assert sol.root_kind == "unique-root"
@@ -49,22 +52,16 @@ def test_solve_uniform_model_reports_contraction_root(uniform_model):
     # all weights sit below 1, so the moment function decreases through its
     # root; the solver must locate it precisely and then refuse it
     with pytest.raises(ContractionRootError) as err:
-        solve_alpha(uniform_model, bracket=(0.5, 4.0), tol=1e-12)
+        solve_alpha(uniform_model, tol=1e-12)
     assert abs(err.value.alpha - ALPHA_UNIFORM) <= 1e-8
     assert err.value.mu < 0
 
 
 def test_solve_no_sign_change():
     m = make_model({"n": det(1), "c": det(0.5), "q": det(1.0)})
-    # moment function is 0.5^theta < 1 on the whole bracket
+    # moment function is 0.5^theta < 1 for every theta > 0
     with pytest.raises(NoSignChangeError):
-        solve_alpha(m, bracket=(2.0, 5.0))
-
-
-def test_solver_idempotence(model_b09):
-    sol = solve_alpha(model_b09)
-    again = solve_alpha(model_b09, bracket=(sol.alpha - 0.5, sol.alpha + 0.5))
-    assert abs(again.alpha - sol.alpha) <= 1e-10
+        solve_alpha(m)
 
 
 def test_scale_equivariance(model_b):
@@ -109,16 +106,41 @@ def test_alpha_steps_past_the_last_sign_change():
     _assert_best_double(model, solve_alpha(model).alpha)
 
 
-def test_alpha_bits_do_not_depend_on_the_bracket(model_b09):
-    alphas = {solve_alpha(model_b09, bracket=b).alpha.hex()
-              for b in [(0.1, 8.0), (0.5, 2.0), (1.05, 1.2)]}
-    assert len(alphas) == 1
+@pytest.mark.parametrize("name, alpha_hex", [
+    ("model_a", "0x1.0000000000004p+1"),
+    ("model_b", "0x1.0000000000000p+0"),
+    ("model_b09", "0x1.17c7bc444ebc5p+0"),
+])
+def test_fixture_alpha_bits(request, name, alpha_hex):
+    assert solve_alpha(request.getfixturevalue(name)).alpha.hex() == alpha_hex
+
+
+@pytest.mark.parametrize("alpha", [0.05, 12.0])
+def test_solves_roots_outside_the_old_default_bracket(alpha):
+    # N in {0, 1} and lognormal(mu, 1) weights: log m(theta) =
+    # -ln 2 + mu theta + theta^2 / 2, whose one positive root is alpha
+    mu = math.log(2.0) / alpha - alpha / 2.0
+    model = make_model({
+        "n": {"family": "two-point", "values": {0: 0.5, 1: 0.5}},
+        "c": {"family": "lognormal", "mu": mu, "sigma2": 1.0},
+        "q": det(1.0)})
+    assert solve_alpha(model).alpha == pytest.approx(alpha, abs=1e-8)
+
+
+def test_last_step_does_not_depend_on_where_the_bisection_stopped(model_a):
+    # model_a rises through 1 slowly (mu = 0.13), so its residual stays
+    # within a few eps of 0 over many doubles around alpha; a last step
+    # started from any of them returns alpha
+    def f(theta):
+        return moment_function(model_a, theta).value - 1.0
+
+    alpha = solve_alpha(model_a).alpha
+    starts = [alpha + k * 2.0 ** -51 for k in range(-100, 101, 10)]
+    assert {_least_residual(f, start)[1] for start in starts} == {alpha}
 
 
 def test_mu_matches_deriv_code_path(model_a):
-    from branchtail.model import moment_function_deriv
-
-    sol = solve_alpha(model_a, bracket=(1.2, 4.0))
+    sol = solve_alpha(model_a)
     assert sol.mu == moment_function_deriv(model_a, sol.alpha).value
 
 
@@ -127,73 +149,97 @@ def two_root_spec(n, mu, sigma2):
                                "sigma2": sigma2}, "q": det(1.0)}
 
 
-# each bracket holds alpha, but the moment function exceeds 1 at both ends
-@pytest.mark.parametrize("spec, bracket, straddling", [
-    (dict(model_a_spec(), c_scale=0.95), DEFAULT_BRACKET, (1.2, 4.0)),
-    (dict(model_a_spec(), c_scale=0.95), (0.5, 4.0), (1.2, 4.0)),
-    (poisson2_spec(), DEFAULT_BRACKET, (0.5, 4.0)),
-    (two_root_spec(2, -1.0, 0.5), DEFAULT_BRACKET, (1.2, 4.0)),
-    (two_root_spec(2, -1.0, 0.5), (0.5, 4.0), (1.2, 4.0)),
+def two_root_family(n, low_root, gap):
+    # lognormal weights put log m on a parabola; (mu, sigma2) are drawn
+    # through its two roots low_root and low_root + gap
+    sigma2 = 2.0 * math.log(n) / (low_root * (low_root + gap))
+    return make_model(two_root_spec(n, -sigma2 * (low_root + gap / 2.0),
+                                    sigma2))
+
+
+# each of the brackets (lo, hi) the solver took before 0.11.0 holds alpha,
+# but the moment function exceeds 1 at both ends; alpha is the root that a
+# bracket straddling it found then, to rounding (the last step moves it by
+# at most an ulp)
+@pytest.mark.parametrize("spec, ends, straddled", [
+    (dict(model_a_spec(), c_scale=0.95), (0.1, 8.0), 2.6307763882677757),
+    (dict(model_a_spec(), c_scale=0.95), (0.5, 4.0), 2.6307763882677757),
+    (poisson2_spec(), (0.1, 8.0), 0.9408113200262631),
+    (two_root_spec(2, -1.0, 0.5), (0.1, 8.0), 3.1078859497981814),
+    (two_root_spec(2, -1.0, 0.5), (0.5, 4.0), 3.1078859497981814),
 ], ids=["model_a-0.95", "model_a-0.95-half", "poisson2", "two-root",
         "two-root-half"])
 def test_a_bracket_above_one_at_both_ends_solves_past_the_minimum(
-        spec, bracket, straddling):
+        spec, ends, straddled):
     model = make_model(spec)
-    sol = solve_alpha(model, bracket=bracket)
-    ref = solve_alpha(model, bracket=straddling)
-    assert (sol.alpha.hex(), sol.mu.hex(), sol.residual.hex()) == (
-        ref.alpha.hex(), ref.mu.hex(), ref.residual.hex())
-    assert sol.root_kind == ref.root_kind == "unique-root"
-    assert sol.bracket[1] == bracket[1]
-    assert bracket[0] < sol.bracket[0] < sol.alpha  # lo moved to the minimum
+    assert all(moment_function(model, end).value > 1.0 for end in ends)
+    sol = solve_alpha(model)
+    assert ends[0] < sol.alpha < ends[1]
+    assert sol.alpha == pytest.approx(straddled, rel=1e-13)
+    assert sol.root_kind == "unique-root"
 
 
 def test_model_a_default_bracket_starts_at_the_minimum(model_a):
-    # log m is a parabola with roots 1 and 2, so it is least at 1.5
-    sol = solve_alpha(model_a)
-    assert sol.bracket == (1.5, DEFAULT_BRACKET[1])
-    ref = solve_alpha(model_a, bracket=(1.0, 4.0))
-    assert (sol.alpha, sol.mu, sol.residual) == (ref.alpha, ref.mu,
-                                                  ref.residual)
+    # log m is a parabola with roots 1 and 2, so it is least at 1.5, and
+    # the bisection for alpha starts there
+    assert _least_point(
+        lambda theta: moment_function_deriv(model_a, theta).value) == 1.5
+    assert 1.5 < solve_alpha(model_a).alpha
 
 
-@pytest.mark.parametrize("spec, bracket", [
-    (model_b_spec(), (1.2, 4.0)),             # rising on the whole bracket
-    (two_root_spec(2, -0.5, 1.0), DEFAULT_BRACKET),  # least value 1.76
+def test_solver_idempotence(model_b09):
+    # the last step, started from its own answer, returns it again
+    def f(theta):
+        return moment_function(model_b09, theta).value - 1.0
+
+    sol = solve_alpha(model_b09)
+    assert _least_residual(f, sol.alpha) == (sol.residual, sol.alpha)
+
+
+@pytest.mark.parametrize("spec", [
+    two_root_spec(2, 0.0, 1.0),                      # rising from the floor
+    two_root_spec(2, -0.5, 1.0),                     # least value 1.76
 ], ids=["monotone", "minimum-above-one"])
-def test_no_crossing_above_one_is_no_sign_change(spec, bracket):
+def test_no_crossing_above_one_is_no_sign_change(spec):
     with pytest.raises(NoSignChangeError):
-        solve_alpha(make_model(spec), bracket=bracket)
+        solve_alpha(make_model(spec))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.floats(0.02, 3.0), st.floats(0.05, 4.9),
-       st.floats(0.01, 0.99))
-@example(n=2, low_root=0.1, gap=3.0, frac=0.5)  # the falling root is lo
+@given(st.integers(2, 4), st.floats(0.02, 3.0), st.floats(0.05, 4.9))
 def test_default_solve_finds_the_root_a_straddling_bracket_finds(
-        n, low_root, gap, frac):
-    # lognormal weights put log m on a parabola; (mu, sigma2) are drawn
-    # through its two roots, which lie below the default hi
-    sigma2 = 2.0 * math.log(n) / (low_root * (low_root + gap))
-    model = make_model(two_root_spec(n, -sigma2 * (low_root + gap / 2.0),
-                                     sigma2))
-    theta, hi = low_root + frac * gap, DEFAULT_BRACKET[1]
+        n, low_root, gap):
+    # a bracket straddling the rising root finds low_root + gap; the
+    # solver finds it alone, wherever the least point lies
+    model = two_root_family(n, low_root, gap)
+    alpha = solve_alpha(model).alpha
+    assert alpha == pytest.approx(low_root + gap, rel=1e-10)
+    _assert_best_double(model, alpha)
 
-    def f(t):
-        return moment_function(model, t).value - 1.0
 
-    assume(DEFAULT_BRACKET[0] < theta and f(theta) < 0.0 < f(hi))
-    sol, ref = solve_alpha(model), solve_alpha(model, bracket=(theta, hi))
-    assert sol.root_kind == ref.root_kind
-    # the computed moment function is flat to rounding over up to about a
-    # hundred doubles where it rises slowly through 1, and two bisections
-    # from different brackets may stop at different sign changes there
-    assert sol.alpha == pytest.approx(ref.alpha, rel=1e-13)
-    _assert_best_double(model, sol.alpha)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.floats(0.02, 3.0), st.floats(0.05, 4.9))
+def test_alpha_is_the_least_residual_in_its_window(n, low_root, gap):
+    # where the computed moment function is flat to rounding its sign
+    # changes spread over many doubles; alpha must not depend on which one
+    # a bisection stops at, so it is the least residual 256 ulps each way,
+    # and the lowest such double
+    model = two_root_family(n, low_root, gap)
+    alpha = solve_alpha(model).alpha
+
+    def residual(theta):
+        return abs(moment_function(model, theta).value - 1.0)
+
+    here, above, below = residual(alpha), alpha, alpha
+    for _ in range(256):
+        above = math.nextafter(above, math.inf)
+        below = math.nextafter(below, 0.0)
+        assert here <= residual(above)
+        assert here < residual(below)
 
 
 def test_conditions_model_b_linear(model_b):
-    sol = solve_alpha(model_b, bracket=(0.3, 3.0))
+    sol = solve_alpha(model_b)
     rep = check_conditions(model_b, sol, "linear")
     assert rep.overall_pass
     eps = rep.entry("moment-condition-eps")
@@ -203,7 +249,7 @@ def test_conditions_model_b_linear(model_b):
 
 def test_conditions_arithmetic_weight_fails():
     m = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
-    sol = CramerSolution(1.0, -0.693, 0.0, "unique-root", (0.5, 2.0))
+    sol = CramerSolution(1.0, -0.693, 0.0, "unique-root")
     rep = check_conditions(m, sol, "linear")
     assert rep.entry("nonarithmetic").status == "fail"
     assert not rep.overall_pass
@@ -229,7 +275,7 @@ def _first_epsilon_condition(model, alpha, epsilon):
 ], ids=["model_a", "poisson-uniform"])
 def test_epsilon_entry_is_the_shared_sum_moment_estimate(spec, alpha, epsilon):
     m = make_model(spec)
-    sol = CramerSolution(alpha, 1.0, 0.0, "unique-root", (0.1, 8.0))
+    sol = CramerSolution(alpha, 1.0, 0.0, "unique-root")
     entry = check_conditions(m, sol, "linear", epsilon=epsilon).entry(
         "moment-condition-eps")
     value, se = _first_epsilon_condition(m, alpha, epsilon)
@@ -242,7 +288,7 @@ def test_epsilon_entry_is_the_shared_sum_moment_estimate(spec, alpha, epsilon):
 def test_epsilon_entry_closed_form_for_deterministic_laws(epsilon):
     # N = 2, C = 1/2 at alpha = 1: (2 * 2^(-1/(1+eps)))^(1+eps) = 2^eps
     m = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
-    sol = CramerSolution(1.0, -0.693, 0.0, "unique-root", (0.5, 2.0))
+    sol = CramerSolution(1.0, -0.693, 0.0, "unique-root")
     entry = check_conditions(m, sol, "linear", epsilon=epsilon).entry(
         "moment-condition-eps")
     assert "closed-form" in entry.evidence
@@ -252,7 +298,7 @@ def test_epsilon_entry_closed_form_for_deterministic_laws(epsilon):
 
 
 def test_conditions_model_a_homogeneous(model_a):
-    sol = solve_alpha(model_a, bracket=(1.2, 4.0))
+    sol = solve_alpha(model_a)
     rep = check_conditions(model_a, sol, "homogeneous-martingale")
     assert rep.overall_pass
     assert rep.entry("branching-spread").value == pytest.approx(0.3)
@@ -274,7 +320,7 @@ def test_conditions_mean_contraction_checked_for_linear(model_b09):
 def test_conditions_critical_mean_fails_linear_kind(model_a):
     # the mean ratio is exactly 1 here but evaluates one ulp under it;
     # the additive fixed point does not exist and the check must say so
-    sol = solve_alpha(model_a, bracket=(1.2, 4.0))
+    sol = solve_alpha(model_a)
     rep = check_conditions(model_a, sol, "linear")
     assert not rep.overall_pass
     entry = rep.entry("mean-contraction")
@@ -283,7 +329,7 @@ def test_conditions_critical_mean_fails_linear_kind(model_a):
 
 
 def test_conditions_deterministic_given_inputs(model_a):
-    sol = solve_alpha(model_a, bracket=(1.2, 4.0))
+    sol = solve_alpha(model_a)
     a = check_conditions(model_a, sol, "homogeneous-martingale")
     b = check_conditions(model_a, sol, "homogeneous-martingale")
     assert [(e.name, e.status, e.value) for e in a.entries] == [
@@ -292,6 +338,6 @@ def test_conditions_deterministic_given_inputs(model_a):
 
 
 def test_conditions_epsilon_validation(model_b):
-    sol = solve_alpha(model_b, bracket=(0.3, 3.0))
+    sol = solve_alpha(model_b)
     with pytest.raises(Exception):
         check_conditions(model_b, sol, "linear", epsilon=1.5)

@@ -41,7 +41,7 @@ def test_tilt_lognormal_shift_is_exact(model_b):
 def test_tilt_scaled_weights_shift_location(model_b09):
     from branchtail.cramer import solve_alpha
 
-    sol = solve_alpha(model_b09, bracket=(0.3, 3.0))
+    sol = solve_alpha(model_b09)
     tilted = make_tilted(model_b09, sol.alpha)
     assert tilted.total_mass == pytest.approx(1.0, abs=1e-10)
     # location picks up log(0.9) relative to the unscaled family
