@@ -20,9 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .engine import recursion
-from .model import (ModelError, MomentValue, dominance_ratio, mean_se,
-                    moment_function, moment_function_deriv,
-                    reduce_to_parents, resample_children)
+from .model import (ModelError, MomentValue, dominance_ratio, fold_by_owner,
+                    mean_se, moment_function, moment_function_deriv)
 from .moments import _sum_interpolation_bound, fixed_point_mean_exact
 
 _MC_SEED = 0x7C057A17
@@ -96,17 +95,21 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
     """General Monte Carlo estimate of H, any root exponent.
 
     Draws fresh (Q, N, C) vectors and resamples R-values with
-    replacement from ``r_batch``, forms the kind-specific integrand,
+    replacement from ``r_batch``, forms the kind's integrand
+    toll(children-fold of x_i, Q)^alpha - sum_i x_i^alpha, x_i = C_i R_i,
     and divides its mean by alpha times mu.  The resampling bias is
     second-order in the batch size, hence the default floor of 1e5
-    batch values.
+    batch values.  Max-plus takes the linear kind's conditions, and they
+    suffice: M = max_i x_i <= R <= sum_i x_i + Q pathwise puts
+    P(R > t) - sum_i P(x_i > t) between the max and linear kinds', and
+    R <= R_linear tree by tree bounds R's moments below alpha.
 
     Parameters
     ----------
     model : VectorModel
     sol : CramerSolution
         Supplies alpha and mu.
-    kind : a name in ``engine.KINDS`` other than max-plus
+    kind : a name in ``engine.KINDS``
     r_batch : SampleBatch or array_like
         Sample of the fixed-point law for the same model and kind.
     reps : int
@@ -123,9 +126,6 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
         the integrand sum (second-moment instability).
     """
     children, toll = recursion(kind)
-    if toll is not None and toll is not children:
-        raise ConstantError(f"Monte Carlo H covers no kinds whose toll "
-                            f"adds to a max of children, such as {kind!r}")
     if reps < _MIN_REPS:
         raise ConstantError(f"reps must be >= {_MIN_REPS}")
     r_values = np.asarray(getattr(r_batch, "values", r_batch), dtype=float)
@@ -142,9 +142,11 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
 
     # no toll adds Q = 0: R = toll(children_i C_i R_i, Q) for every kind
     q = np.zeros(reps) if toll is None else model.draw_q(rng, reps)
-    counts, terms = resample_children(model, r_values, reps, rng)
-    power_sums = reduce_to_parents(np.add, counts, terms ** alpha)
-    outer = (toll or np.add)(reduce_to_parents(children, counts, terms), q)
+    counts, weights = model.draw_offspring(rng, reps)
+    terms = weights * r_values[rng.integers(0, r_values.size, weights.size)]
+    owner = np.repeat(np.arange(reps), counts)
+    power_sums = fold_by_owner(np.add, owner, terms ** alpha, reps)
+    outer = (toll or np.add)(fold_by_owner(children, owner, terms, reps), q)
     integrand = (outer ** alpha - power_sums) / (alpha * mu)
     value, se = mean_se(integrand)
     suspect = alpha >= 2.0 and dominance_ratio(integrand) > 0.05
@@ -234,7 +236,7 @@ def tail_constant_report(model, sol, kind, r_batch=None, reps=_MIN_REPS,
             mc = tail_constant_mc(model, sol, kind, r_batch, reps=reps,
                                   rng=rng, min_batch=min_batch)
         except ConstantError:
-            # no route for the kind, or a batch too small for resampling
+            # too few reps, or a batch too small or of another model
             mc = None
     lower, upper = tail_constant_bounds(model, sol, kind, r_batch=r_batch,
                                         rng=rng)

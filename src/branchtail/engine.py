@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import mean_se, moment_function
+from .model import fold_by_owner, mean_se, moment_function
 from .moments import contractive, generation_moment_bound
 
 DEFAULT_BUDGET = 10 ** 7
@@ -247,7 +247,7 @@ def _martingale_forest(model, depths, reps, budget, rng):
         if n in depths:
             _require_completed(~alive, budget)
             marks = model.draw_mark(rng, pi.size)
-            w[n] = np.bincount(owner, pi * marks, minlength=reps)[alive]
+            w[n] = fold_by_owner(np.add, owner, pi * marks, reps)[alive]
     return w
 
 
@@ -267,10 +267,10 @@ def _iterate_forest(model, kind, n, starts, reps, budget, rng):
     forest = generation_frontier(model, n, reps, budget, rng)
     for k, (pi, owner, alive) in enumerate(forest):
         if k < n:
-            fold.at(partial, owner, pi * model.draw_q(rng, pi.size))
+            partial = fold(partial, fold_by_owner(
+                fold, owner, pi * model.draw_q(rng, pi.size), reps))
     _require_completed(~alive, budget)
-    boundary = np.zeros(reps)
-    fold.at(boundary, owner, pi)
+    boundary = fold_by_owner(fold, owner, pi, reps)
     return [fold(partial, s * boundary)[alive] for s in starts]
 
 

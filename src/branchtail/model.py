@@ -34,8 +34,7 @@ __all__ = [
     "sum_moment",
     "dominance_ratio",
     "mean_se",
-    "reduce_to_parents",
-    "resample_children",
+    "fold_by_owner",
 ]
 
 
@@ -514,28 +513,17 @@ class VectorModel:
         return self._fingerprint
 
 
-def reduce_to_parents(ufunc, counts, child_values):
-    """Fold child values into their parents with ``ufunc`` (add or maximum).
+def fold_by_owner(ufunc, owner, values, size):
+    """Fold ``values[j]`` into slot ``owner[j]`` by ``ufunc``, in index order.
 
-    Children come in the layout ``draw_offspring`` returns: those of
-    parent i are contiguous and in parent order.  A parent without
-    children gets 0.
+    Returns ``size`` slots, 0 where no value folds in.  Sums take
+    ``np.bincount``, with the bits of ``np.add.at``; others ``ufunc.at``.
     """
-    out = np.zeros(counts.size)
-    ufunc.at(out, np.repeat(np.arange(counts.size), counts), child_values)
+    if ufunc is np.add:
+        return np.bincount(owner, values, minlength=size)
+    out = np.zeros(size)
+    ufunc.at(out, owner, values)
     return out
-
-
-def resample_children(model, values, size, rng):
-    """Draw ``size`` node vectors and a resampled value for each child.
-
-    The values are drawn from ``values`` with replacement, after the
-    offspring.  Returns (counts, terms): the child counts and the flat
-    child terms C_i Y_i in the layout ``reduce_to_parents`` takes.
-    """
-    counts, weights = model.draw_offspring(rng, size)
-    draws = values[rng.integers(0, values.size, weights.size)]
-    return counts, weights * draws
 
 
 def make_model(spec):
@@ -662,7 +650,8 @@ def _power_sum_moment(model, theta, beta, reps, rng):
     counts, weights = model.draw_offspring(rng, reps)
     if inner != 1.0:
         weights = weights ** inner
-    powered = reduce_to_parents(np.add, counts, weights) ** beta
+    owner = np.repeat(np.arange(reps), counts)
+    powered = fold_by_owner(np.add, owner, weights, reps) ** beta
     estimate, se = mean_se(powered)
     suspect = reps >= 1000 and dominance_ratio(powered) > 0.05
     return MomentValue(estimate, "monte-carlo", se, suspect=suspect)

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .model import (LognormalValue, ModelError, UniformValue, dominance_ratio,
-                    mean_se, moment_function, moment_function_deriv, verdict)
+                    fold_by_owner, mean_se, moment_function,
+                    moment_function_deriv, verdict)
 from .engine import DEFAULT_BUDGET, _WidthError, generation_frontier
 
 _MASS_TOL = 1e-10
@@ -198,11 +199,11 @@ def _factorization_checks(model, alpha, ns, gs, reps, rng, threshold=0.0,
         walks = tilted.sample(rng, (reps, max(grown, default=0))).cumsum(1)
     for n, (pi, owner) in grown.items():
         powered = pi ** alpha
-        masses = np.bincount(owner, powered, minlength=reps)
+        masses = fold_by_owner(np.add, owner, powered, reps)
         heavy = bool(dominance_ratio(masses) > 0.05)
         for g in gs:
-            lhs, lhs_se = mean_se(np.bincount(
-                owner, powered * g_fns[g](np.log(pi)), minlength=reps))
+            lhs, lhs_se = mean_se(fold_by_owner(
+                np.add, owner, powered * g_fns[g](np.log(pi)), reps))
             rhs, rhs_se, rhs_method = tilted.total_mass**n, 0.0, "closed-form"
             if g != "constant-1":
                 rhs, rhs_se = mean_se(g_fns[g](walks[:, n - 1]))

@@ -10,7 +10,7 @@ from branchtail.constants import (
     tail_constant_mc,
     tail_constant_report,
 )
-from branchtail.cramer import solve_alpha
+from branchtail.cramer import check_conditions, solve_alpha
 from branchtail.engine import run_batch
 from branchtail.model import make_model
 
@@ -117,11 +117,51 @@ def test_mc_route_validation(model_b, sol_b, batch_b):
         tail_constant_mc(model_b, sol_b, "linear", small)
     with pytest.raises(ConstantError, match="reps"):
         tail_constant_mc(model_b, sol_b, "linear", batch_b, reps=100)
-    with pytest.raises(ConstantError, match="kinds"):
-        tail_constant_mc(model_b, sol_b, "max-plus", batch_b)
     other = run_batch(make_model(model_a_spec()), "linear", 5, 200, seed=0)
     with pytest.raises(ConstantError, match="different model"):
         tail_constant_mc(model_b, sol_b, "linear", other, min_batch=100)
+
+
+def two_child_spec():
+    # N in {0, 2} with E[N] = 0.8, and mu_C set so that alpha = 1
+    return {"n": {"family": "two-point", "values": {0: 0.6, 2: 0.4}},
+            "c": {"family": "lognormal", "mu": -math.log(0.8) - 0.5,
+                  "sigma2": 1.0},
+            "q": det(1.0)}
+
+
+def test_mc_route_max_plus_equals_linear_when_n_at_most_one(model_b, sol_b,
+                                                            batch_b):
+    # the same draws, and one child folds the same way by max as by add
+    maxplus = tail_constant_mc(model_b, sol_b, "max-plus", batch_b,
+                               reps=20_000)
+    linear = tail_constant_mc(model_b, sol_b, "linear", batch_b, reps=20_000)
+    assert maxplus.value == linear.value
+    assert maxplus.std_error == linear.std_error
+
+
+def test_mc_route_max_plus_below_toll_bound_at_alpha_one():
+    # for alpha <= 1, (M + Q)^alpha <= sum_i x_i^alpha + Q^alpha sample by
+    # sample, so the estimate cannot exceed E[Q^alpha] / (alpha mu)
+    m = make_model(two_child_spec())
+    sol = solve_alpha(m)
+    assert sol.alpha == pytest.approx(1.0, abs=1e-12)
+    batch = run_batch(m, "max-plus", None, 3_000, seed=2027)
+    est = tail_constant_mc(m, sol, "max-plus", batch, min_batch=3_000)
+    upper = tail_constant_bounds(m, sol, "max-plus")[1]
+    assert upper == pytest.approx(1.3829, abs=1e-4)  # E[Q] / mu
+    assert 0.0 < est.value <= upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("spec", [two_child_spec(), model_b_spec(0.9)],
+                         ids=["two-child", "model_b09"])
+def test_max_plus_conditions_are_the_linear_kinds(spec):
+    m = make_model(spec)
+    sol = solve_alpha(m)
+    entries = {kind: [(e.name, e.status)
+                      for e in check_conditions(m, sol, kind).entries]
+               for kind in ("linear", "max-plus")}
+    assert entries["max-plus"] == entries["linear"]
 
 
 def test_mc_route_reproducible_default_stream(model_b, sol_b, batch_b):

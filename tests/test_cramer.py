@@ -14,7 +14,7 @@ from branchtail.cramer import (
     solve_alpha,
 )
 from branchtail.model import (make_model, moment_function,
-                              moment_function_deriv, reduce_to_parents)
+                              moment_function_deriv)
 
 from conftest import (ALPHA_UNIFORM, MU_A, MU_B, model_a_spec, model_b_spec,
                       poisson2_spec)
@@ -260,7 +260,9 @@ def _first_epsilon_condition(model, alpha, epsilon):
     rng = np.random.default_rng(0x5EEDC04D)
     reps = 200_000
     counts, weights = model.draw_offspring(rng, reps)
-    inner = reduce_to_parents(np.add, counts, weights ** (alpha / (1 + epsilon)))
+    inner = np.zeros(reps)
+    np.add.at(inner, np.repeat(np.arange(reps), counts),
+              weights ** (alpha / (1 + epsilon)))
     powered = inner ** (1 + epsilon)
     return (float(powered.mean()),
             float(powered.std(ddof=1) / math.sqrt(reps)))

@@ -25,7 +25,8 @@ from branchtail.engine import (
 )
 from branchtail.model import make_model
 
-from conftest import RHO_HALF_B09, TRUNC_B09_HALF_20, model_b_spec
+from conftest import (RHO_HALF_B09, TRUNC_B09_HALF_20, model_a_spec,
+                      model_b_spec)
 
 
 def det(value):
@@ -94,6 +95,25 @@ def test_max_kind_is_coupled_below_linear(model_b09):
     biggest = run_batch(model_b09, "max", 8, 500, seed=21)
     assert np.all(biggest.values <= linear.values)
     assert biggest.total_nodes == linear.total_nodes
+
+
+@pytest.mark.parametrize("budget", [engine.DEFAULT_BUDGET, 40])
+def test_kinds_are_ordered_tree_by_tree(budget):
+    # max <= max-plus <= linear on one tree: the path sums dominate their
+    # last terms, and the linear value adds every term of every path
+    spec = model_a_spec()
+    spec["q"] = {"family": "lognormal", "mu": 0.0, "sigma2": 1.0}
+    m = make_model(spec)
+    biggest, maxplus, linear = (run_batch(m, kind, 8, 2_000, budget=budget,
+                                          seed=64)
+                                for kind in ("max", "max-plus", "linear"))
+    for batch in (maxplus, linear):
+        assert np.array_equal(batch.truncated, biggest.truncated)
+        assert np.array_equal(batch.node_counts, biggest.node_counts)
+    assert np.all(biggest.values <= maxplus.values)
+    assert np.all(maxplus.values <= linear.values * (1 + 1e-12))
+    if budget == 40:
+        assert biggest.truncated.any()
 
 
 def test_exact_mode_couples_below_any_truncation(model_b09):

@@ -38,6 +38,30 @@ def test_no_comparison_under_src_names_a_kind():
     assert found == []
 
 
+def _folds_values(node):
+    """Whether a call folds values by owner: ``ufunc.at`` or a weighted
+    ``bincount``, which the unweighted counts are not."""
+    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+    weighted = len(node.args) > 1 or any(k.arg == "weights"
+                                         for k in node.keywords)
+    return name == "at" or (name == "bincount" and weighted)
+
+
+def test_values_fold_by_owner_only_in_the_one_helper():
+    # a segment sum or maximum outside model.fold_by_owner is a second idiom
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helper = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "fold_by_owner" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in helper
+                    and _folds_values(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _batch(kind):
     return SampleBatch(kind=kind, depth=1, values=np.ones(1), seed=0,
                        stream_count=1, budget=1, total_nodes=1,

@@ -5,8 +5,7 @@ import pytest
 
 from branchtail.engine import run_batch, truncation_bound
 from branchtail.model import (MomentValue, make_model, mean_se,
-                              moment_function, reduce_to_parents,
-                              resample_children, sum_moment)
+                              moment_function, sum_moment)
 from branchtail.moments import (
     BoundError,
     _sum_interpolation_bound,
@@ -256,9 +255,13 @@ def sum_inequality_sides(model, beta, y, reps, rng):
 
     The left side resamples Y from ``y`` with replacement.
     """
-    counts, terms = resample_children(model, y, reps, rng)
-    lhs = (reduce_to_parents(np.add, counts, terms) ** beta
-           - reduce_to_parents(np.add, counts, terms ** beta))
+    counts, weights = model.draw_offspring(rng, reps)
+    terms = weights * y[rng.integers(0, y.size, weights.size)]
+    owner = np.repeat(np.arange(reps), counts)
+    sums, power_sums = np.zeros(reps), np.zeros(reps)
+    np.add.at(sums, owner, terms)  # inline folds, independent of the package's
+    np.add.at(power_sums, owner, terms ** beta)
+    lhs = sums ** beta - power_sums
     estimate, se = mean_se(lhs)
     return estimate, se, _sum_interpolation_bound(model, beta, y, rng)
 
