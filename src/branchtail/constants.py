@@ -102,7 +102,9 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
     batch values.  Max-plus takes the linear kind's conditions, and they
     suffice: M = max_i x_i <= R <= sum_i x_i + Q pathwise puts
     P(R > t) - sum_i P(x_i > t) between the max and linear kinds', and
-    R <= R_linear tree by tree bounds R's moments below alpha.
+    R <= R_linear tree by tree bounds R's moments below alpha.  With two
+    children of positive weight and alpha > 1 the stated SE is not a
+    calibrated error, for any kind (ROADMAP item 15).
 
     Parameters
     ----------

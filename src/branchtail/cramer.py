@@ -41,9 +41,11 @@ __all__ = [
 _FLOOR = 2.0 ** -6
 _CEILING = 2.0 ** 10
 # the canonical last step scans the doubles with residual at most _ZONE,
-# up to _ZONE_STEPS of them each way from where the bisection stopped
+# up to _ZONE_STEPS of them each way from where the bisection stopped; the
+# zone has holes, so only more than _ZONE_GAP doubles outside it end a scan
 _ZONE = 64 * np.finfo(float).eps
 _ZONE_STEPS = 2 ** 14
+_ZONE_GAP = 256
 _CRITICAL_TOL = 1e-9  # |moment_function(1) - 1| below this flags the critical pair
 
 
@@ -190,7 +192,8 @@ def _bisect(f, lo, hi, flo, fhi):
 
 def _least_residual(f, theta):
     """(|f|, double): the least |f|, the lower double on ties, over the run
-    of doubles around theta where |f| <= _ZONE.
+    of doubles around theta where |f| <= _ZONE, holes of up to _ZONE_GAP
+    doubles included.
 
     Where f rises slowly through 0 the computed f is not monotone at the
     scale of one ulp, and its sign changes spread over many doubles;
@@ -199,11 +202,12 @@ def _least_residual(f, theta):
     """
     best = (abs(f(theta)), theta)
     for direction in (-math.inf, math.inf):
-        step = theta
+        step, outside = theta, 0
         for _ in range(_ZONE_STEPS):
             step = math.nextafter(step, direction)
             here = (abs(f(step)), step)
-            if not here[0] <= _ZONE:
+            outside = 0 if here[0] <= _ZONE else outside + 1
+            if outside > _ZONE_GAP:
                 break
             best = min(best, here)
     return best

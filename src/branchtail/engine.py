@@ -267,8 +267,8 @@ def _iterate_forest(model, kind, n, starts, reps, budget, rng):
     forest = generation_frontier(model, n, reps, budget, rng)
     for k, (pi, owner, alive) in enumerate(forest):
         if k < n:
-            partial = fold(partial, fold_by_owner(
-                fold, owner, pi * model.draw_q(rng, pi.size), reps))
+            fold_by_owner(fold, owner, pi * model.draw_q(rng, pi.size),
+                          reps, out=partial)
     _require_completed(~alive, budget)
     boundary = fold_by_owner(fold, owner, pi, reps)
     return [fold(partial, s * boundary)[alive] for s in starts]
