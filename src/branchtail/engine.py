@@ -4,6 +4,10 @@ Each replication grows the tree one generation at a time, holding only
 the current generation's path weights (and, for max-plus, path sums), so
 memory is linear in the width of the widest generation rather than the
 tree size, for every kind.  The tree itself is never materialized.
+While its generations hold one node, a replication is a chain and grows
+on Python floats and scalar draws, which skips the fixed cost of numpy
+calls on one-element arrays; its first generation of two or more nodes
+moves it to arrays.
 
 ``generation_frontier`` instead grows a whole forest from one shared
 generator and yields every generation, each path product with its
@@ -21,7 +25,9 @@ replications holds one generator and re-keys it to ``(seed, i)`` with
 counter 0 before replication ``i``, so it draws exactly what a fresh
 generator of that key would.  Within a replication the draw order per
 generation is fixed: toll values first, then offspring counts, then all
-child weights flat.  Two consequences are load-bearing and tested: runs
+child weights flat.  A scalar draw (``size=None``) reads the words of a
+draw of size 1, so a chain's generation draws the values of an array
+generation of one node.  Two consequences are load-bearing and tested: runs
 of the same seed at different depths share every draw on the common
 prefix of generations (sample-path monotonicity), and the max kind is
 coupled below the linear kind replication by replication.
@@ -139,10 +145,6 @@ def recursion(kind, model=None):
     return children, toll
 
 
-_ROOT = np.ones(1)
-_ROOT.flags.writeable = False  # every replication starts from it
-
-
 def _replicate(model, kind, depth, budget, rng):
     """One replication, grown generation by generation; returns (value, nodes, z).
 
@@ -153,19 +155,53 @@ def _replicate(model, kind, depth, budget, rng):
     takes their max, which is R because the weights are nonnegative.
     A kind without a toll draws marks at generation ``depth`` only.
 
+    Two phases grow it.  While a generation holds one node the tree is
+    a chain: the path product, path sum and running value are floats,
+    and each draw takes ``size=None``, which reads the same stream words
+    as a draw of size 1, so the bits are those of the array loop.  The
+    first generation of two or more nodes hands its path products (and
+    path sums) to the array loop, which grows the rest.
+
     A None value means the node budget was hit and the replication
     abandoned, before the weights of the generation that hit it were
     drawn; ``z`` lists the generation sizes grown so far.
     """
     children, toll = KINDS[kind]
     paths = children is not toll and toll is not None  # max-plus
-    pi = _ROOT
     nodes = 1
     z = [1]
     level = 0
     acc = 0.0
     path = 0.0  # the root's path sum before its toll
-    while True:
+    pi = 1.0
+    while True:  # the chain phase
+        last = level == depth
+        q = (model.draw_q(rng, None) if toll is not None
+             else model.draw_mark(rng, None) if last else None)
+        if paths:
+            path += q * pi
+            acc = max(acc, path)
+        elif children is np.maximum:
+            acc = max(acc, q * pi)
+        elif q is not None:
+            acc += q * pi
+        if last:
+            return acc, nodes, z
+        count, weights = model.draw_offspring(rng, None, budget - nodes)
+        born = int(count)
+        if weights is None:
+            return None, nodes + born, z
+        if born == 0:
+            return acc, nodes, z  # the tree died
+        nodes += born
+        z.append(born)
+        level += 1
+        pi = pi * weights
+        if born > 1:
+            break
+    if paths:
+        path = np.full(born, path)
+    while True:  # the frontier phase, from the first generation of two
         last = level == depth
         tolls = (model.draw_q(rng, pi.size) if toll is not None
                  else model.draw_mark(rng, pi.size) if last else None)

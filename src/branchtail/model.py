@@ -10,7 +10,9 @@ Supported count families: deterministic, two-point, geometric (on
 {0,1,2,...}), Poisson.  Supported weight/toll families: deterministic,
 lognormal, uniform(0,b), beta-scaled.  Deterministic laws consume no
 randomness when sampled; this keeps replication streams aligned across
-runs that only differ in depth.
+runs that only differ in depth.  Every law's ``sample(rng, size)`` also
+takes ``size=None``, numpy's convention for one draw: it returns a scalar
+read from the same stream words as ``size=1``.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class DeterministicCount:
         self._one = np.array([self.value], dtype=np.int64)
 
     def sample(self, rng, size):
-        return self._one.repeat(size)
+        return self._one[0] if size is None else self._one.repeat(size)
 
     def mean(self):
         return float(self.value)
@@ -118,6 +120,8 @@ class TwoPointCount:
 
     def sample(self, rng, size):
         # a where u < pa, b otherwise
+        if size is None:
+            return self._support[int(rng.random() >= self.pa)]
         return self._support.take(rng.random(size) >= self.pa)
 
     def mean(self):
@@ -225,7 +229,7 @@ class DeterministicValue:
         self._one = np.array([self.value])
 
     def sample(self, rng, size):
-        return self._one.repeat(size)
+        return self.value if size is None else self._one.repeat(size)
 
     def moment(self, theta):
         # 0^0 = 1 convention so theta = 0 returns total mass
@@ -241,6 +245,9 @@ class DeterministicValue:
 
     def mean(self):
         return self.value
+
+    def scaled(self, factor):
+        return DeterministicValue(self.value * factor)
 
     def prob_positive(self):
         return 1.0 if self.value > 0 else 0.0
@@ -274,6 +281,9 @@ class LognormalValue:
     def mean(self):
         return self.moment(1.0)
 
+    def scaled(self, factor):
+        return LognormalValue(self.mu + math.log(factor), self.sigma2)
+
     def prob_positive(self):
         return 1.0
 
@@ -303,6 +313,9 @@ class UniformValue:
 
     def mean(self):
         return self.b / 2.0
+
+    def scaled(self, factor):
+        return UniformValue(self.b * factor)
 
     def prob_positive(self):
         return 1.0
@@ -338,7 +351,8 @@ class BetaScaledValue:
         # d/dtheta of moment: m(theta) * (log scale + psi(a+theta) - psi(a+b+theta))
         from scipy.special import digamma
 
-        return self.moment(theta) * (
+        # a float, as every law returns: inf - inf in numpy would warn
+        return self.moment(theta) * float(
             math.log(self.scale)
             + digamma(self.a + theta)
             - digamma(self.a + self.b + theta)
@@ -346,6 +360,9 @@ class BetaScaledValue:
 
     def mean(self):
         return self.scale * self.a / (self.a + self.b)
+
+    def scaled(self, factor):
+        return BetaScaledValue(self.a, self.b, self.scale * factor)
 
     def prob_positive(self):
         return 1.0
@@ -458,14 +475,24 @@ class VectorModel:
         more than ``limit`` children are born, returns ``(counts, None)``
         without drawing their weights.  Without children no weight is
         drawn either, as a draw of none uses no randomness.
+
+        ``size=None`` draws for one node from the same stream words as
+        ``size=1``: the count is a numpy integer scalar, and the weight a
+        float for one child, an array for two or more.
         """
         counts = self.n_law.sample(rng, size)
-        total = int(counts.sum())
+        if size is None:
+            total = int(counts)
+            if not isinstance(counts, np.integer):  # Poisson and geometric give an int
+                counts = np.int64(total)
+        else:
+            total = int(counts.sum())
         if limit is not None and total > limit:
             return counts, None
         if total == 0:
             return counts, np.empty(0)
-        weights = self.c_law.sample(rng, total)
+        one = size is None and total == 1
+        weights = self.c_law.sample(rng, None if one else total)
         if self.c_scale != 1.0:
             weights = weights * self.c_scale
         return counts, weights
@@ -473,15 +500,27 @@ class VectorModel:
     # -- closed-form moment helpers ---------------------------------------
 
     def c_moment(self, theta):
-        """E[(c_scale * C)^theta]."""
-        return _pow(self.c_scale, theta) * self.c_law.moment(theta)
+        """E[(c_scale * C)^theta].
+
+        Where ``c_scale^theta`` underflows and E[C^theta] overflows, the
+        product 0 * inf is NaN: then the law of ``c_scale * C`` itself
+        gives the moment.
+        """
+        value = _pow(self.c_scale, theta) * self.c_law.moment(theta)
+        if math.isnan(value):
+            return self.c_law.scaled(self.c_scale).moment(theta)
+        return value
 
     def c_log_weighted_moment(self, theta):
-        """E[(c_scale * C)^theta * log(c_scale * C)]."""
+        """E[(c_scale * C)^theta * log(c_scale * C)], NaN mended as in
+        ``c_moment``."""
         s = self.c_scale
-        return _pow(s, theta) * (
+        value = _pow(s, theta) * (
             math.log(s) * self.c_law.moment(theta) + self.c_law.log_weighted_moment(theta)
         )
+        if math.isnan(value):
+            return self.c_law.scaled(s).log_weighted_moment(theta)
+        return value
 
     def q_moment(self, beta):
         return self.q_law.moment(beta)

@@ -277,18 +277,34 @@ def test_batch_replays_fresh_generator_per_replication(kind):
     assert batch.truncated.tolist() == truncated
 
 
+def _plain_draw(law):
+    """``law``'s draw of ``size`` values, written as one plain numpy call."""
+    return {
+        "deterministic": lambda rng, size: np.full(size, law.value),
+        "two-point": lambda rng, size: np.where(
+            rng.random(size) < law.pa, law.a, law.b).astype(np.int64),
+        "poisson": lambda rng, size: rng.poisson(law.lam, size),
+        "geometric": lambda rng, size: rng.geometric(law.p, size) - 1,
+        "lognormal": lambda rng, size: rng.lognormal(law.mu, law.sigma, size),
+        "uniform": lambda rng, size: rng.uniform(0.0, law.b, size),
+        "beta-scaled": lambda rng, size: law.scale * rng.beta(law.a, law.b,
+                                                              size),
+    }[law.family]
+
+
 def _v1_replication(model, kind, depth, budget, seed, i):
-    """Replication i of stream contract v1 on a two-point count, lognormal
-    weight and deterministic toll model, written out with plain numpy
-    calls: tolls, then counts, then every child weight, per generation."""
+    """Replication i of stream contract v1, written out with plain numpy
+    array draws of the model's laws: tolls, then counts, then every child
+    weight, per generation, whatever the generation's width."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, i], dtype=np.uint64)))
-    n_law, c_law, q = model.n_law, model.c_law, model.q_law.value
+    draw_n, draw_c = _plain_draw(model.n_law), _plain_draw(model.c_law)
+    draw_q = _plain_draw(model.q_law)
     pi, path, acc, nodes, level = np.ones(1), 0.0, 0.0, 1, 0
     while True:
         last = level == depth
         if kind != "homogeneous-martingale" or last:
-            tolls = np.full(pi.size, q)
+            tolls = draw_q(rng, pi.size)
             if kind == "max":
                 acc = max(acc, float((tolls * pi).max()))
             elif kind == "max-plus":
@@ -298,9 +314,8 @@ def _v1_replication(model, kind, depth, budget, seed, i):
                 acc += float(tolls @ pi)
         if last:
             break
-        u = rng.random(pi.size)
-        counts = np.where(u < n_law.pa, n_law.a, n_law.b).astype(np.int64)
-        weights = rng.lognormal(c_law.mu, c_law.sigma, int(counts.sum()))
+        counts = draw_n(rng, pi.size)
+        weights = draw_c(rng, int(counts.sum()))
         weights = weights * model.c_scale
         nodes += weights.size
         if nodes > budget:
@@ -314,11 +329,25 @@ def _v1_replication(model, kind, depth, budget, seed, i):
     return acc, nodes
 
 
-_V1_CASES = [("b", depth, kind) for depth in (8, None)
-             for kind in ("linear", "max", "max-plus",
-                          "homogeneous-martingale")]
-_V1_CASES += [("a", 8, kind) for kind in ("linear", "max", "max-plus",
-                                          "homogeneous-martingale")]
+_V1_KINDS = ("linear", "max", "max-plus", "homogeneous-martingale")
+_V1_CASES = [("b", depth, kind) for depth in (8, None) for kind in _V1_KINDS]
+_V1_CASES += [("a", 8, kind) for kind in _V1_KINDS]
+# subcritical counts that die, stay single or branch, drawn by other families
+_V1_CASES += [(m, depth, kind) for m in ("poisson", "geometric")
+              for depth in (8, None) for kind in _V1_KINDS]
+_V1_MODELS = {
+    "poisson": ({
+        "n": {"family": "poisson", "mean": 0.9},
+        "c": {"family": "uniform", "b": 1.3},
+        "q": {"family": "lognormal", "mu": -0.3, "sigma2": 0.8},
+        "c_scale": 0.8,
+    }, 12),
+    "geometric": ({
+        "n": {"family": "geometric", "p": 0.55},
+        "c": {"family": "beta-scaled", "a": 2.0, "b": 1.5, "scale": 1.6},
+        "q": {"family": "lognormal", "mu": 0.2, "sigma2": 0.5},
+    }, 8),
+}
 
 
 @pytest.mark.parametrize("model_type, depth, kind", _V1_CASES,
@@ -326,12 +355,15 @@ _V1_CASES += [("a", 8, kind) for kind in ("linear", "max", "max-plus",
 def test_batch_follows_stream_contract_v1(model_type, depth, kind):
     if model_type == "b":  # the perpetuity case, N in {0, 1}
         m, budget = make_model(model_b_spec(0.9)), 4
-    else:
+    elif model_type == "a":
         m, budget = make_model({
             "n": {"family": "two-point", "values": {1: 0.7, 2: 0.3}},
             "c": {"family": "lognormal", "mu": -0.4, "sigma2": 0.26},
             "q": det(1.0),
         }), 40
+    else:
+        spec, budget = _V1_MODELS[model_type]
+        m = make_model(spec)
     # 2050 replications cross a chunk boundary; the budget abandons some
     reps, seed = 2050, 424242
     batch = run_batch(m, kind, depth, reps, budget=budget, seed=seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchtail.cramer import ContractionRootError, solve_alpha
 from branchtail.engine import EngineError, run_batch
 from branchtail.model import (
     ModelError,
@@ -165,6 +166,92 @@ def test_offspring_over_the_limit_draws_no_weights(model_a):
     assert rng.bit_generator.state == _stream_after_counts(model_a, 3, 5)[1]
     same = model_a.draw_offspring(np.random.default_rng(3), 5, total)
     assert same[1].tobytes() == weights.tobytes()
+
+
+# one draw without a size: size=None reads the words of size=1
+
+_ONE_DRAW_COUNTS = [det(1), {"family": "two-point", "values": {1: 0.6, 3: 0.4}},
+                    {"family": "geometric", "p": 0.35},
+                    {"family": "poisson", "mean": 1.7}]
+_ONE_DRAW_WEIGHTS = [det(0.8), {"family": "lognormal", "mu": -0.2, "sigma2": 0.6},
+                     {"family": "uniform", "b": 1.3},
+                     {"family": "beta-scaled", "a": 2.0, "b": 3.0, "scale": 1.5}]
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+@pytest.mark.parametrize("weight", _ONE_DRAW_WEIGHTS,
+                         ids=[w["family"] for w in _ONE_DRAW_WEIGHTS])
+@pytest.mark.parametrize("count", _ONE_DRAW_COUNTS,
+                         ids=[c["family"] for c in _ONE_DRAW_COUNTS])
+def test_a_draw_without_size_reads_the_words_of_size_one(count, weight):
+    m = make_model({"n": count, "c": weight, "q": weight, "c_scale": 0.7})
+    born = set()
+    for seed in range(40):
+        pair = [np.random.Generator(np.random.Philox(key=[seed, 7]))
+                for _ in range(2)]
+        for law in (m.n_law, m.c_law, m.q_law):
+            one, array = law.sample(pair[0], None), law.sample(pair[1], 1)
+            assert np.ndim(one) == 0 and array.shape == (1,)
+            assert np.asarray(one, array.dtype).tobytes() == array.tobytes()
+        for limit in (None, 1):
+            (n, w), (counts, weights) = (m.draw_offspring(pair[0], None, limit),
+                                         m.draw_offspring(pair[1], 1, limit))
+            assert isinstance(n, np.integer) and n.size == 1
+            assert [int(n)] == counts.tolist()
+            if weights is None:
+                assert w is None
+            elif weights.size == 1:
+                assert isinstance(w, float)
+                assert np.float64(w).tobytes() == weights.tobytes()
+            else:
+                assert w.tobytes() == weights.tobytes()
+            born.add(min(int(n), 2))
+        assert _philox_state(pair[0]) == _philox_state(pair[1])
+    # a random count gives none, one and several children over the seeds
+    assert born == ({1} if count["family"] == "deterministic" else
+                    {1, 2} if count["family"] == "two-point" else {0, 1, 2})
+
+
+# weights scaled past the double range: c_scale^theta underflows while
+# E[C^theta] overflows, yet c_scale * C is the unscaled law
+_HUGE_WEIGHTS = [
+    (det(1e300), det(1.0)),
+    ({"family": "lognormal", "mu": 300 * math.log(10), "sigma2": 0.5},
+     {"family": "lognormal", "mu": 0.0, "sigma2": 0.5}),
+    ({"family": "uniform", "b": 1e300}, {"family": "uniform", "b": 1.0}),
+    ({"family": "beta-scaled", "a": 2.0, "b": 3.0, "scale": 1e300},
+     {"family": "beta-scaled", "a": 2.0, "b": 3.0, "scale": 1.0}),
+]
+
+
+@pytest.mark.parametrize("huge, plain", _HUGE_WEIGHTS,
+                         ids=[h["family"] for h, _ in _HUGE_WEIGHTS])
+def test_moments_of_a_weight_scale_that_underflows(huge, plain):
+    scaled = make_model({"n": det(3), "c": huge, "q": det(1.0),
+                         "c_scale": 1e-300})
+    unscaled = make_model({"n": det(3), "c": plain, "q": det(1.0)})
+    for theta in (0.5, 1.0, 1.5, 2.0, 7.5):
+        for moment in (moment_function, moment_function_deriv):
+            assert moment(scaled, theta).value == pytest.approx(
+                moment(unscaled, theta).value, rel=1e-9, abs=1e-12)
+
+
+def test_uniform_weights_scaled_down_from_1e300_solve_to_a_contraction_root():
+    # c_scale * C is uniform(0, 1): m(theta) = 3 / (theta + 1) falls
+    # through 1 at theta = 2
+    m = make_model({"n": det(3), "c": {"family": "uniform", "b": 1e300},
+                    "q": det(1.0), "c_scale": 1e-300})
+    values = [moment_function(m, t).value for t in (0.5, 1.0, 1.5, 2.0)]
+    assert values == pytest.approx([2.0, 1.5, 1.2, 1.0], rel=1e-12)
+    with pytest.raises(ContractionRootError) as err:
+        solve_alpha(m)
+    assert err.value.alpha == pytest.approx(2.0, rel=1e-12)
 
 
 def test_moment_function_calibrations(model_a, model_b):
