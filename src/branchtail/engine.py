@@ -22,12 +22,14 @@ Reproducibility contract
 Replication ``i`` of a batch owns the counter-based Philox stream keyed
 by the two uint64 words ``(seed, i)``, read from counter 0.  A chunk of
 replications holds one generator and re-keys it to ``(seed, i)`` with
-counter 0 before replication ``i``, so it draws exactly what a fresh
-generator of that key would.  Within a replication the draw order per
-generation is fixed: toll values first, then offspring counts, then all
-child weights flat.  A scalar draw (``size=None``) reads the words of a
-draw of size 1, so a chain's generation draws the values of an array
-generation of one node.  Two consequences are load-bearing and tested: runs
+counter 0 and an empty buffer before replication ``i``, so it draws
+exactly what a fresh generator of that key would; the re-key assigns a
+state of plain Python ints, the cheapest form numpy's setter reads.
+Within a replication the draw order per generation is fixed: toll
+values first, then offspring counts, then all child weights flat.  A
+scalar draw (``size=None``) reads the words of a draw of size 1, so a
+chain's generation draws the values of an array generation of one
+node.  Two consequences are load-bearing and tested: runs
 of the same seed at different depths share every draw on the common
 prefix of generations (sample-path monotonicity), and the max kind is
 coupled below the linear kind replication by replication.
@@ -168,6 +170,10 @@ def _replicate(model, kind, depth, budget, rng):
     """
     children, toll = KINDS[kind]
     paths = children is not toll and toll is not None  # max-plus
+    peak = children is np.maximum
+    stop = -1 if depth is None else depth
+    draw_toll = model.draw_q if toll is not None else None
+    draw_offspring = model.draw_offspring
     nodes = 1
     z = [1]
     level = 0
@@ -175,19 +181,21 @@ def _replicate(model, kind, depth, budget, rng):
     path = 0.0  # the root's path sum before its toll
     pi = 1.0
     while True:  # the chain phase
-        last = level == depth
-        q = (model.draw_q(rng, None) if toll is not None
-             else model.draw_mark(rng, None) if last else None)
-        if paths:
-            path += q * pi
-            acc = max(acc, path)
-        elif children is np.maximum:
-            acc = max(acc, q * pi)
-        elif q is not None:
-            acc += q * pi
+        last = level == stop
+        if last and toll is None:
+            draw_toll = model.draw_mark
+        if draw_toll is not None:
+            term = draw_toll(rng, None) * pi
+            if paths:
+                path += term
+                term = path
+            if not peak:
+                acc += term
+            elif term > acc:  # max(acc, term), without the call
+                acc = term
         if last:
             return acc, nodes, z
-        count, weights = model.draw_offspring(rng, None, budget - nodes)
+        count, weights = draw_offspring(rng, None, budget - nodes)
         born = int(count)
         if weights is None:
             return None, nodes + born, z
@@ -202,19 +210,21 @@ def _replicate(model, kind, depth, budget, rng):
     if paths:
         path = np.full(born, path)
     while True:  # the frontier phase, from the first generation of two
-        last = level == depth
-        tolls = (model.draw_q(rng, pi.size) if toll is not None
-                 else model.draw_mark(rng, pi.size) if last else None)
-        if paths:
-            path = path + tolls * pi
-            acc = max(acc, float(path.max()))
-        elif children is np.maximum:
-            acc = max(acc, float((tolls * pi).max()))
-        elif tolls is not None:
-            acc += tolls @ pi
+        last = level == stop
+        if last and toll is None:
+            draw_toll = model.draw_mark
+        if draw_toll is not None:
+            tolls = draw_toll(rng, pi.size)
+            if paths:
+                path = path + tolls * pi
+                acc = max(acc, float(path.max()))
+            elif peak:
+                acc = max(acc, float((tolls * pi).max()))
+            else:
+                acc += tolls @ pi
         if last:
             break
-        counts, weights = model.draw_offspring(rng, pi.size, budget - nodes)
+        counts, weights = draw_offspring(rng, pi.size, budget - nodes)
         if weights is None:
             return None, nodes + int(counts.sum()), z
         if weights.size == 0:
@@ -324,16 +334,18 @@ def _run_chunk(model, kind, depth, budget, seed, start, count):
     are exact and independent of chunk execution order.
     """
     # one generator per chunk, re-keyed per replication: building a Philox
-    # costs far more than a small tree's draws
+    # costs far more than a small tree's draws.  The state holds Python
+    # ints, which the setter reads faster than numpy words, each taken as
+    # the unsigned word it is up to 2^64 - 1.
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    key = np.array([seed, 0], dtype=np.uint64)
+    key = [seed, 0]
     fresh = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     values = []
-    node_counts = np.empty(count, dtype=np.int64)
+    node_counts = []
     truncated = np.zeros(count, dtype=bool)
     level_sums = []
     level_maxes = []
@@ -341,7 +353,7 @@ def _run_chunk(model, kind, depth, budget, seed, start, count):
         key[1] = start + j
         bit_generator.state = fresh
         value, nodes, z = _replicate(model, kind, depth, budget, rng)
-        node_counts[j] = nodes
+        node_counts.append(nodes)
         if value is None:
             truncated[j] = True
             continue
@@ -354,7 +366,8 @@ def _run_chunk(model, kind, depth, budget, seed, start, count):
             level_sums[k] += zk
             if zk > level_maxes[k]:
                 level_maxes[k] = zk
-    return (np.asarray(values, dtype=float), node_counts, truncated,
+    return (np.asarray(values, dtype=float),
+            np.asarray(node_counts, dtype=np.int64), truncated,
             np.asarray(level_sums, dtype=np.int64),
             np.asarray(level_maxes, dtype=np.int64))
 
@@ -609,10 +622,8 @@ def summary(batch):
     values = batch.values
     mean, std_error = mean_se(values)
     sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
-    quantiles = {
-        str(q): float(np.quantile(values, q))
-        for q in (0.5, 0.9, 0.99, 0.999)
-    }
+    qs = (0.5, 0.9, 0.99, 0.999)
+    quantiles = dict(zip(map(str, qs), np.quantile(values, qs).tolist()))
     nodes = {
         "total": batch.total_nodes,
         "mean_per_replication": batch.total_nodes / batch.stream_count,

@@ -12,7 +12,8 @@ lognormal, uniform(0,b), beta-scaled.  Deterministic laws consume no
 randomness when sampled; this keeps replication streams aligned across
 runs that only differ in depth.  Every law's ``sample(rng, size)`` also
 takes ``size=None``, numpy's convention for one draw: it returns a scalar
-read from the same stream words as ``size=1``.
+read from the same stream words as ``size=1``, a numpy integer for a
+count law.
 """
 
 from __future__ import annotations
@@ -117,11 +118,12 @@ class TwoPointCount:
         if abs(self.pa + self.pb - 1.0) > 1e-12:
             raise ModelError("two-point probabilities must sum to 1")
         self._support = np.array([self.a, self.b], dtype=np.int64)
+        self._pair = tuple(self._support)  # a tuple indexes faster
 
     def sample(self, rng, size):
         # a where u < pa, b otherwise
         if size is None:
-            return self._support[int(rng.random() >= self.pa)]
+            return self._pair[rng.random() >= self.pa]
         return self._support.take(rng.random(size) >= self.pa)
 
     def mean(self):
@@ -154,6 +156,8 @@ class GeometricCount:
         self.p = float(p)
 
     def sample(self, rng, size):
+        if size is None:
+            return np.int64(rng.geometric(self.p) - 1)
         return rng.geometric(self.p, size) - 1
 
     def mean(self):
@@ -193,6 +197,8 @@ class PoissonCount:
         self.lam = float(mean)
 
     def sample(self, rng, size):
+        if size is None:
+            return np.int64(rng.poisson(self.lam))
         return rng.poisson(self.lam, size)
 
     def mean(self):
@@ -435,6 +441,10 @@ class MomentValue:
             raise ModelError("closed-form values carry zero std_error")
 
 
+_NO_WEIGHTS = np.empty(0)
+_NO_WEIGHTS.flags.writeable = False
+
+
 @dataclass
 class VectorModel:
     """Validated law of one node vector (Q, N, C_1..C_N).
@@ -478,21 +488,17 @@ class VectorModel:
 
         ``size=None`` draws for one node from the same stream words as
         ``size=1``: the count is a numpy integer scalar, and the weight a
-        float for one child, an array for two or more.
+        float for one child, an array for two or more.  Every childless
+        draw returns the same read-only empty array.
         """
         counts = self.n_law.sample(rng, size)
-        if size is None:
-            total = int(counts)
-            if not isinstance(counts, np.integer):  # Poisson and geometric give an int
-                counts = np.int64(total)
-        else:
-            total = int(counts.sum())
+        total = int(counts) if size is None else int(counts.sum())
         if limit is not None and total > limit:
             return counts, None
         if total == 0:
-            return counts, np.empty(0)
-        one = size is None and total == 1
-        weights = self.c_law.sample(rng, None if one else total)
+            return counts, _NO_WEIGHTS
+        weights = self.c_law.sample(rng, None if size is None and total == 1
+                                    else total)
         if self.c_scale != 1.0:
             weights = weights * self.c_scale
         return counts, weights

@@ -23,7 +23,7 @@ from branchtail.engine import (
     truncation_bound,
     write_batch_csv,
 )
-from branchtail.model import make_model
+from branchtail.model import VectorModel, make_model
 
 from conftest import (RHO_HALF_B09, TRUNC_B09_HALF_20, model_a_spec,
                       model_b_spec)
@@ -275,6 +275,50 @@ def test_batch_replays_fresh_generator_per_replication(kind):
     assert np.array_equal(batch.values, values)
     assert batch.node_counts.tolist() == nodes
     assert batch.truncated.tolist() == truncated
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 1], ids=["2^63", "2^64-1"])
+def test_rekeyed_chunk_generator_replays_seeds_at_the_top_of_the_range(seed):
+    # a chunk re-keys one generator from plain ints; a signed conversion
+    # of the seed word would fail or alias at these seeds
+    m = make_model({
+        "n": {"family": "poisson", "mean": 1.5},
+        "c": {"family": "uniform", "b": 1.2},
+        "q": {"family": "lognormal", "mu": 0.0, "sigma2": 0.5},
+    })
+    # 2050 replications cross a chunk boundary
+    reps, depth, budget = 2050, 3, 40
+    batch = run_batch(m, "linear", depth, reps, budget=budget, seed=seed)
+    values, nodes, after_partial, partial = [], [], 0, False
+    for i in range(reps):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64)))
+        value, n, _ = engine._replicate(m, "linear", depth, budget, rng)
+        nodes.append(n)
+        if value is not None:
+            values.append(value)
+        after_partial += partial
+        # words left in the buffer, which the re-key must discard
+        partial = rng.bit_generator.state["buffer_pos"] < 4
+    assert after_partial > 0
+    assert batch.values.tobytes() == np.array(values).tobytes()
+    assert batch.node_counts.tolist() == nodes
+
+
+@pytest.mark.parametrize("kind", ["linear", "max", "max-plus"])
+def test_exact_mode_draws_offspring_once_per_node(model_b, monkeypatch, kind):
+    # bench/layers.py counts nodes by the size of each call's counts
+    draw = VectorModel.draw_offspring
+    sizes = []
+
+    def counted(self, *args, **kwargs):
+        result = draw(self, *args, **kwargs)
+        sizes.append(result[0].size)
+        return result
+
+    monkeypatch.setattr(VectorModel, "draw_offspring", counted)
+    batch = run_batch(model_b, kind, None, 500, seed=5)
+    assert len(sizes) == batch.total_nodes == sum(sizes)
 
 
 def _plain_draw(law):
