@@ -115,6 +115,11 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 as bad input: 2 is a failed condition
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 class _Loader(yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 floats such as 1e-12 or 1.5e3.
 
@@ -518,7 +523,7 @@ def cmd_verify(config, corrupt_bound_self_test=False):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="branchtail",
         description="simulation and tail analysis for branching fixed points")
     parser.add_argument("--config", help="YAML config file")
@@ -529,8 +534,9 @@ def _build_parser():
     parser.add_argument("--reps", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--kind", default=None)
-    parser.add_argument("--depth", default=None,
-                        help="integer depth, or 'exact'")
+    # load_config judges every spelling of a depth but digits
+    parser.add_argument("--depth", help="integer depth, or 'exact'",
+                        type=lambda text: int(text) if text.isdigit() else text)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve-alpha")
     simulate = sub.add_parser("simulate")
@@ -545,15 +551,12 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    depth = args.depth
-    if depth is not None and depth.isdigit():
-        depth = int(depth)  # load_config judges every other spelling
     try:
+        args = _build_parser().parse_args(argv)
         config = load_config(
             args.config, sets=args.sets, output_dir=args.output_dir,
             seed=args.seed, reps=args.reps, workers=args.workers,
-            kind=args.kind, depth=depth)
+            kind=args.kind, depth=args.depth)
     except (ConfigError, ModelError, OSError, yaml.YAMLError) as err:
         # a YAML error spans several lines; the message must keep to one
         print("config error:", *str(err).split(), file=sys.stderr)

@@ -38,6 +38,7 @@ Replications whose node count exceeds the budget are abandoned and
 counted, never clipped; their values are excluded from estimates.
 """
 
+import functools
 import math
 import os
 import warnings
@@ -47,11 +48,11 @@ from typing import Optional
 
 import numpy as np
 
-from .model import fold_by_owner, mean_se, moment_function
-from .moments import contractive, generation_moment_bound
+from .model import fold_by_owner, mean_se
+from .moments import contraction_factor, contractive, generation_moment_bound
 
 DEFAULT_BUDGET = 10 ** 7
-_CHUNK = 2048  # fixed so reductions associate identically for any worker count
+_CHUNK = 2048  # replications per pool task; it changes no output
 # nodes in one forest generation, whatever each tree's budget: about 0.5 GB
 # of working arrays
 _FOREST_WIDTH = 10 ** 7
@@ -82,6 +83,7 @@ class SampleBatch:
     nonnegative; budget-hit replications are excluded from it but
     counted.  Level statistics summarize generation sizes Z_k over
     completed replications (absent generations count as size 0).
+    ``truncated`` derives from ``node_counts``, which a CSV lacks.
     """
 
     kind: str
@@ -96,7 +98,6 @@ class SampleBatch:
     level_max: np.ndarray
     model_fingerprint: str
     node_counts: Optional[np.ndarray] = field(default=None, repr=False)
-    truncated: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         recursion(self.kind)
@@ -105,13 +106,19 @@ class SampleBatch:
         if self.values.size != self.stream_count - self.truncated_replications:
             raise EngineError("batch values disagree with the count of "
                               "completed replications")
-        if self.truncated is not None:
+        if self.node_counts is not None:
             if int(self.truncated.sum()) != self.truncated_replications:
                 raise EngineError("truncation mask disagrees with its count")
 
     @property
     def completed(self):
         return int(self.values.size)
+
+    @property
+    def truncated(self):
+        """Node counts over the budget, the rule ``_replicate`` abandons by."""
+        if self.node_counts is not None:
+            return self.node_counts > self.budget
 
 
 def _validate_seed(seed):
@@ -327,12 +334,9 @@ def _require_completed(truncated, budget):
                           f"the node budget {budget}")
 
 
-def _run_chunk(model, kind, depth, budget, seed, start, count):
-    """Replications [start, start+count); picklable worker task.
-
-    Returns plain arrays only.  Level sums are integers so chunk merges
-    are exact and independent of chunk execution order.
-    """
+def _run_chunk(model, kind, depth, budget, seed, start, stop):
+    """Replications [start, stop); picklable worker task.  Returns plain
+    arrays: values, node counts, and generation-size sums and maxima."""
     # one generator per chunk, re-keyed per replication: building a Philox
     # costs far more than a small tree's draws.  The state holds Python
     # ints, which the setter reads faster than numpy words, each taken as
@@ -344,45 +348,32 @@ def _run_chunk(model, kind, depth, budget, seed, start, count):
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    values = []
-    node_counts = []
-    truncated = np.zeros(count, dtype=bool)
-    level_sums = []
-    level_maxes = []
-    for j in range(count):
-        key[1] = start + j
+    values, node_counts, sizes, lens = [], [], [], []
+    for i in range(start, stop):
+        key[1] = i
         bit_generator.state = fresh
         value, nodes, z = _replicate(model, kind, depth, budget, rng)
         node_counts.append(nodes)
-        if value is None:
-            truncated[j] = True
-            continue
-        values.append(value)
-        if len(z) > len(level_sums):
-            grow = len(z) - len(level_sums)
-            level_sums.extend([0] * grow)
-            level_maxes.extend([0] * grow)
-        for k, zk in enumerate(z):
-            level_sums[k] += zk
-            if zk > level_maxes[k]:
-                level_maxes[k] = zk
+        if value is not None:
+            values.append(value)
+            sizes.extend(z)
+            lens.append(len(z))
+    sizes = np.array(sizes, dtype=np.int64)
     return (np.asarray(values, dtype=float),
-            np.asarray(node_counts, dtype=np.int64), truncated,
-            np.asarray(level_sums, dtype=np.int64),
-            np.asarray(level_maxes, dtype=np.int64))
+            np.asarray(node_counts, dtype=np.int64),
+            *_fold_levels(lens, sizes, sizes))
 
 
-def _merge_chunks(results):
-    values = np.concatenate([r[0] for r in results])
-    node_counts = np.concatenate([r[1] for r in results])
-    truncated = np.concatenate([r[2] for r in results])
-    depth_top = max(r[3].size for r in results)
-    level_sums = np.zeros(depth_top, dtype=np.int64)
-    level_maxes = np.zeros(depth_top, dtype=np.int64)
-    for r in results:
-        level_sums[: r[3].size] += r[3]
-        np.maximum(level_maxes[: r[4].size], r[4], out=level_maxes[: r[4].size])
-    return values, node_counts, truncated, level_sums, level_maxes
+def _fold_levels(lens, sums, maxima):
+    """Int64 folds of ``sums`` by sum and of ``maxima`` by max.  Each lays
+    rows of ``lens`` entries end to end (a replication's generation sizes,
+    or a chunk's folds), and slot k folds entry k of every row."""
+    lens = np.asarray(lens, dtype=np.int64)
+    level = np.arange(sums.size) - (lens.cumsum() - lens).repeat(lens)
+    width = int(lens.max(initial=0))
+    return tuple(fold_by_owner(ufunc, level, rows, width,
+                               out=np.zeros(width, dtype=np.int64))
+                 for ufunc, rows in ((np.add, sums), (np.maximum, maxima)))
 
 
 def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
@@ -412,26 +403,22 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
         raise EngineError("workers must be >= 1")
     if budget < 1:
         raise EngineError("budget must be >= 1")
-    tasks = [(start, min(_CHUNK, reps - start))
-             for start in range(0, reps, _CHUNK)]
+    tasks = [(i, min(i + _CHUNK, reps)) for i in range(0, reps, _CHUNK)]
+    chunk = functools.partial(_run_chunk, model, kind, depth, budget, seed)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        results = [
-            _run_chunk(model, kind, depth, budget, seed, start, count)
-            for start, count in tasks
-        ]
+        results = [chunk(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, model, kind, depth, budget, seed,
-                            start, count)
-                for start, count in tasks
-            ]
+            futures = [pool.submit(chunk, *task) for task in tasks]
             results = [f.result() for f in futures]
-    values, node_counts, truncated, level_sums, level_maxes = _merge_chunks(results)
-    _require_completed(truncated, budget)
-    n_truncated = int(truncated.sum())
-    level_mean = level_sums / float(reps - n_truncated)
+    values, node_counts, level_sums, level_maxes = zip(*results)
+    level_sums, level_maxes = _fold_levels(
+        [s.size for s in level_sums], np.concatenate(level_sums),
+        np.concatenate(level_maxes))
+    node_counts = np.concatenate(node_counts)
+    _require_completed(node_counts > budget, budget)
+    values = np.concatenate(values)
     return SampleBatch(
         kind=kind,
         depth=depth,
@@ -440,12 +427,11 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
         stream_count=reps,
         budget=int(budget),
         total_nodes=int(node_counts.sum()),
-        truncated_replications=n_truncated,
-        level_mean=level_mean,
+        truncated_replications=reps - values.size,
+        level_mean=level_sums / float(values.size),
         level_max=level_maxes,
         model_fingerprint=model.fingerprint(),
         node_counts=node_counts,
-        truncated=truncated,
     )
 
 
@@ -459,17 +445,15 @@ def truncation_bound(model, beta, depth, rng=None):
     The remainder is the tail of the generation sums W_n, n > depth, so
     the bound is ``generation_moment_bound`` at n = depth + 1 times the
     geometric tail sum 1 / (1 - eta^(1/p))^p, with p = beta v 1
-    (subadditivity below 1, Minkowski above) and eta = rho_beta for
-    beta <= 1, rho v rho_beta above.  Outside the contractive regime it
+    (subadditivity below 1, Minkowski above) and eta the
+    ``contraction_factor``.  Outside the contractive regime it
     returns ``inf`` before any draw rather than raising.
     """
     if beta <= 0:
         raise EngineError("moment order must be positive")
     if not isinstance(depth, (int, np.integer)) or depth < 0:
         raise EngineError("depth must be an integer >= 0")
-    eta = moment_function(model, beta).value
-    if beta > 1.0:
-        eta = max(moment_function(model, 1.0).value, eta)
+    eta = contraction_factor(model, beta)
     if not contractive(eta):
         return math.inf
     head = generation_moment_bound(model, beta, depth + 1, rng=rng).value

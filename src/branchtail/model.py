@@ -484,7 +484,8 @@ class VectorModel:
         stream contract; changing it breaks cross-depth coupling.  When
         more than ``limit`` children are born, returns ``(counts, None)``
         without drawing their weights.  Without children no weight is
-        drawn either, as a draw of none uses no randomness.
+        drawn either, as a draw of none uses no randomness.  A total of
+        2^53 children or more within the limit raises ModelError.
 
         ``size=None`` draws for one node from the same stream words as
         ``size=1``: the count is a numpy integer scalar, and the weight a
@@ -492,13 +493,20 @@ class VectorModel:
         draw returns the same read-only empty array.
         """
         counts = self.n_law.sample(rng, size)
-        total = int(counts) if size is None else int(counts.sum())
+        if size is None:
+            total = int(counts)
+        elif size * (self.n_law.max_value() or 2 ** 63) < 2 ** 63:
+            total = int(counts.sum())  # bounded below 2^63, so exact
+        else:  # a float sum cannot wrap around, and is exact below 2^53
+            total = counts.sum(dtype=float)
         if limit is not None and total > limit:
             return counts, None
         if total == 0:
             return counts, _NO_WEIGHTS
+        if total >= 2.0 ** 53:
+            raise ModelError(f"{total:.4g} children are too many to draw")
         weights = self.c_law.sample(rng, None if size is None and total == 1
-                                    else total)
+                                    else int(total))
         if self.c_scale != 1.0:
             weights = weights * self.c_scale
         return counts, weights

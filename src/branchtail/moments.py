@@ -31,6 +31,12 @@ class BoundError(ModelError):
     """A bound was requested outside its regime of validity."""
 
 
+def contraction_factor(model, beta):
+    """eta_beta: rho_beta for beta <= 1, rho v rho_beta above."""
+    orders = (beta,) if beta <= 1.0 else (1.0, beta)
+    return max(moment_function(model, x).value for x in orders)
+
+
 def fixed_point_mean_exact(model):
     """E[R] = E[Q] / (1 - rho) for the additive fixed point.
 
@@ -74,13 +80,12 @@ def constructive_constant(model, beta, rng=None):
     orders = [float(x) for x in range(2, math.ceil(beta))]
     if beta > 1.0:
         orders.append(float(beta))
-    rho = moment_function(model, 1.0).value
     k = model.q_mean()
     method = "closed-form"
     suspect = False
     for x in orders:
         below = math.ceil(x) - 1
-        eta = max(moment_function(model, x).value, rho)
+        eta = contraction_factor(model, x)
         if not contractive(eta):
             return MomentValue(math.inf, method)
         if eta == 0.0:
@@ -113,15 +118,14 @@ def generation_moment_bound(model, beta, n, rng=None):
         raise BoundError("generation index must be >= 0")
     if beta <= 0:
         raise BoundError("moment order must be positive")
-    rho_beta = moment_function(model, beta).value
+    eta = contraction_factor(model, beta)
     if beta <= 1.0:
-        bound = MomentValue(model.q_moment(beta) * rho_beta ** n,
+        bound = MomentValue(model.q_moment(beta) * eta ** n,
                             "generation-subadditive")
     else:
         k_beta = constructive_constant(model, beta, rng=rng)
         if math.isinf(k_beta.value):
             return MomentValue(math.inf, "generation-constructive")
-        eta = max(moment_function(model, 1.0).value, rho_beta)
         bound = MomentValue(k_beta.value * eta ** n, "generation-constructive",
                             k_beta.std_error, suspect=k_beta.suspect)
     if not bound.value >= 0.0:

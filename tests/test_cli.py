@@ -362,6 +362,15 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     # moments beyond the largest double read as infinite
     (["--set", "model.c.mu=7684", "solve-alpha"], None),
     (["--set", "model.c_scale=1.0e+300", "solve-alpha"], None),
+    # 200,000 Poisson counts of mean 1e15 sum past 2^63; the sum once wrapped
+    (["--set", "model.n={family: poisson, mean: 1.0e+15}",
+      "--set", "model.c_scale=4.9e-11", "solve-alpha"], None),
+    (["--set", "model.n={family: poisson, mean: 1.0e+15}",
+      "--set", "model.c_scale=4.9e-11", "simulate"], None),
+    # argparse's usage errors, which once exited 2
+    (["--seed", "abc", "simulate"], None),
+    (["--reps", "1e5", "simulate"], None),
+    (["--workers", "two", "simulate"], None),
     # (row of batch.csv to overwrite, its new text): -2 is the last value
     (["analyze"], (-2, "abc")),
     (["analyze"], (3, "# seed=seven")),
@@ -385,6 +394,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "model-mu-nan", "model-scale-nan", "model-unknown-param",
         "model-support-list", "model-support-fraction", "model-coupling",
         "model-moment-overflow", "model-scale-overflow",
+        "model-children-wrap", "model-children-wrap-precheck",
+        "seed-word", "reps-float", "workers-word",
         "value-row", "metadata-row", "not-utf8", "value-nan",
         "value-dropped", "kind-row", "iterate-kind-rows"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
@@ -409,6 +420,13 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
     else:
         # refused before sampling, not after a whole run
         assert not (tmp_path / "batch.csv").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: branchtail")
 
 
 def test_set_reaches_an_integer_key(tmp_path, capsys):

@@ -277,6 +277,42 @@ def test_batch_replays_fresh_generator_per_replication(kind):
     assert batch.truncated.tolist() == truncated
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("depth", [6, None], ids=["depth6", "exact"])
+@pytest.mark.parametrize("kind", [
+    "linear", "max", "max-plus", "homogeneous-martingale"])
+def test_level_statistics_recompute_from_each_replication(
+        monkeypatch, kind, depth, workers):
+    # five chunks of 64, and a budget that abandons some replications
+    monkeypatch.setattr(engine, "_CHUNK", 64)
+    m = make_model({
+        "n": {"family": "poisson", "mean": 1.5},
+        "c": {"family": "uniform", "b": 1.2},
+        "q": {"family": "lognormal", "mu": 0.0, "sigma2": 0.5},
+    })
+    reps, budget, seed = 300, 40, 4242
+    batch = run_batch(m, kind, depth, reps, budget=budget, seed=seed,
+                      workers=workers)
+    nodes, truncated, levels = [], [], []
+    for i in range(reps):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64)))
+        value, n, z = engine._replicate(m, kind, depth, budget, rng)
+        nodes.append(n)
+        truncated.append(value is None)
+        if value is not None:
+            levels.append(z)
+    assert 0 < sum(truncated) < reps
+    assert batch.truncated.tolist() == truncated
+    assert batch.total_nodes == sum(nodes)
+    width = max(map(len, levels))
+    sizes = np.array([z + [0] * (width - len(z)) for z in levels])
+    assert batch.level_max.dtype == np.int64
+    assert batch.level_max.tolist() == sizes.max(axis=0).tolist()
+    assert batch.level_mean.tolist() == (sizes.sum(axis=0)
+                                         / float(len(levels))).tolist()
+
+
 @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 1], ids=["2^63", "2^64-1"])
 def test_rekeyed_chunk_generator_replays_seeds_at_the_top_of_the_range(seed):
     # a chunk re-keys one generator from plain ints; a signed conversion

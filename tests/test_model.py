@@ -168,6 +168,18 @@ def test_offspring_over_the_limit_draws_no_weights(model_a):
     assert same[1].tobytes() == weights.tobytes()
 
 
+@pytest.mark.parametrize("count, size", [
+    ({"family": "poisson", "mean": 1.0e15}, 20_000),
+    (det(2 ** 62), 4),  # an int64 sum wraps to exactly 0
+], ids=["poisson", "bounded"])
+def test_a_child_total_past_2_63_does_not_wrap_around(count, size):
+    m = make_model({"n": count, "c": det(1e-19), "q": det(1.0)})
+    counts, weights = m.draw_offspring(np.random.default_rng(3), size, 10 ** 7)
+    assert weights is None and counts.sum(dtype=float) > 2.0 ** 63
+    with pytest.raises(ModelError, match="too many to draw"):
+        m.draw_offspring(np.random.default_rng(3), size)
+
+
 # one draw without a size: size=None reads the words of size=1
 
 _ONE_DRAW_COUNTS = [det(1), {"family": "two-point", "values": {1: 0.6, 3: 0.4}},
