@@ -4,10 +4,9 @@ Each replication grows the tree one generation at a time, holding only
 the current generation's path weights (and, for max-plus, path sums), so
 memory is linear in the width of the widest generation rather than the
 tree size, for every kind.  The tree itself is never materialized.
-While its generations hold one node, a replication is a chain and grows
-on Python floats and scalar draws, which skips the fixed cost of numpy
-calls on one-element arrays; its first generation of two or more nodes
-moves it to arrays.
+A generation of one node is held as Python floats and drawn by scalar
+draws, which skips the fixed cost of numpy calls on one-element arrays;
+a wider one is held as arrays.
 
 ``generation_frontier`` instead grows a whole forest from one shared
 generator and yields every generation, each path product with its
@@ -28,9 +27,9 @@ state of plain Python ints, the cheapest form numpy's setter reads.
 Within a replication the draw order per generation is fixed: toll
 values first, then offspring counts, then all child weights flat.  A
 scalar draw (``size=None``) reads the words of a draw of size 1, so a
-chain's generation draws the values of an array generation of one
-node.  Two consequences are load-bearing and tested: runs
-of the same seed at different depths share every draw on the common
+generation held as floats draws the values of an array generation of
+one node.  Two consequences are load-bearing and tested: runs of the
+same seed at different depths share every draw on the common
 prefix of generations (sample-path monotonicity), and the max kind is
 coupled below the linear kind replication by replication.
 
@@ -127,15 +126,16 @@ def _validate_seed(seed):
     return int(seed)
 
 
-def _validate_depth(model, depth):
-    if depth is None:
+def _validate_depth(depth, model=None):
+    """An int >= 0, or None (exact mode) given a ``model`` that can die."""
+    if depth is None and model is not None:
         if model.n_law.prob_zero() <= 0.0:
             raise EngineError(
                 "exact mode needs P(N = 0) > 0 so the tree can terminate"
             )
         return None
     if not isinstance(depth, (int, np.integer)) or depth < 0:
-        raise EngineError("depth must be an integer >= 0 (or None for exact)")
+        raise EngineError("depth must be an integer >= 0")
     return int(depth)
 
 
@@ -164,16 +164,16 @@ def _replicate(model, kind, depth, budget, rng):
     takes their max, which is R because the weights are nonnegative.
     A kind without a toll draws marks at generation ``depth`` only.
 
-    Two phases grow it.  While a generation holds one node the tree is
-    a chain: the path product, path sum and running value are floats,
-    and each draw takes ``size=None``, which reads the same stream words
-    as a draw of size 1, so the bits are those of the array loop.  The
-    first generation of two or more nodes hands its path products (and
-    path sums) to the array loop, which grows the rest.
+    ``size`` is None while a generation holds one node: its path
+    product and path sum are floats, and each draw takes ``size=None``,
+    which reads the stream words of a draw of size 1, so the bits are
+    those of an array of one node.  A wider generation holds arrays, and
+    a tree that thins back to one node returns to floats.
 
     A None value means the node budget was hit and the replication
     abandoned, before the weights of the generation that hit it were
-    drawn; ``z`` lists the generation sizes grown so far.
+    drawn; its node count stops at 2^63 - 1, and ``z`` lists the
+    generation sizes grown so far.
     """
     children, toll = KINDS[kind]
     paths = children is not toll and toll is not None  # max-plus
@@ -187,42 +187,23 @@ def _replicate(model, kind, depth, budget, rng):
     acc = 0.0
     path = 0.0  # the root's path sum before its toll
     pi = 1.0
-    while True:  # the chain phase
+    size = None  # the generation's width, None while it holds one node
+    while True:
         last = level == stop
         if last and toll is None:
             draw_toll = model.draw_mark
         if draw_toll is not None:
-            term = draw_toll(rng, None) * pi
-            if paths:
-                path += term
-                term = path
-            if not peak:
-                acc += term
-            elif term > acc:  # max(acc, term), without the call
-                acc = term
-        if last:
-            return acc, nodes, z
-        count, weights = draw_offspring(rng, None, budget - nodes)
-        born = int(count)
-        if weights is None:
-            return None, nodes + born, z
-        if born == 0:
-            return acc, nodes, z  # the tree died
-        nodes += born
-        z.append(born)
-        level += 1
-        pi = pi * weights
-        if born > 1:
-            break
-    if paths:
-        path = np.full(born, path)
-    while True:  # the frontier phase, from the first generation of two
-        last = level == stop
-        if last and toll is None:
-            draw_toll = model.draw_mark
-        if draw_toll is not None:
-            tolls = draw_toll(rng, pi.size)
-            if paths:
+            tolls = draw_toll(rng, size)
+            if size is None:
+                term = tolls * pi
+                if paths:
+                    path += term
+                    term = path
+                if not peak:
+                    acc += term
+                elif term > acc:  # max(acc, term), without the call
+                    acc = term
+            elif paths:
                 path = path + tolls * pi
                 acc = max(acc, float(path.max()))
             elif peak:
@@ -231,17 +212,31 @@ def _replicate(model, kind, depth, budget, rng):
                 acc += tolls @ pi
         if last:
             break
-        counts, weights = draw_offspring(rng, pi.size, budget - nodes)
-        if weights is None:
-            return None, nodes + int(counts.sum()), z
-        if weights.size == 0:
+        counts, weights = draw_offspring(rng, size, budget - nodes)
+        if weights is None:  # a count past int64 is stored as 2^63 - 1
+            total = nodes + int(model.child_total(counts, size))
+            return None, min(total, 2 ** 63 - 1), z
+        born = int(counts) if size is None else weights.size
+        if born == 0:
             break  # the tree died
-        nodes += weights.size
-        if paths:
-            path = path.repeat(counts)
-        pi = pi.repeat(counts) * weights
-        z.append(weights.size)
+        nodes += born
+        z.append(born)
         level += 1
+        if size is None:
+            pi = pi * weights
+            if born > 1:  # to arrays
+                size = born
+                if paths:
+                    path = np.full(born, path)
+        else:
+            pi = pi.repeat(counts) * weights
+            if paths:
+                path = path.repeat(counts)
+            size = born
+            if born == 1:  # back to floats
+                pi, size = float(pi[0]), None
+                if paths:
+                    path = float(path[0])
     return float(acc), nodes, z
 
 
@@ -263,8 +258,7 @@ def generation_frontier(model, depth, trees, budget, rng):
     is checked: the trees share one stream, so drawing fewer weights for
     a dropped tree would move every later draw of the others.
     """
-    if not isinstance(depth, (int, np.integer)) or depth < 0:
-        raise EngineError("depth must be an integer >= 0")
+    _validate_depth(depth)
     pi = np.ones(trees)
     owner = np.arange(trees)
     nodes = np.ones(trees, dtype=np.int64)
@@ -275,7 +269,8 @@ def generation_frontier(model, depth, trees, budget, rng):
         if weights is None:
             raise _WidthError(
                 f"generation {k} of a forest of {trees} trees holds "
-                f"{int(counts.sum())} nodes, over the cap of {_FOREST_WIDTH}")
+                f"{int(model.child_total(counts, pi.size))} nodes, over the "
+                f"cap of {_FOREST_WIDTH}")
         owner = owner.repeat(counts)
         pi = pi.repeat(counts) * weights
         nodes += np.bincount(owner, minlength=trees)
@@ -395,7 +390,7 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
     mode).
     """
     recursion(kind, model)
-    depth = _validate_depth(model, depth)
+    depth = _validate_depth(depth, model)
     seed = _validate_seed(seed)
     if reps < 1:
         raise EngineError("reps must be >= 1")
@@ -426,7 +421,7 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
         seed=seed,
         stream_count=reps,
         budget=int(budget),
-        total_nodes=int(node_counts.sum()),
+        total_nodes=sum(node_counts.tolist()),  # Python ints do not wrap
         truncated_replications=reps - values.size,
         level_mean=level_sums / float(values.size),
         level_max=level_maxes,
@@ -451,8 +446,7 @@ def truncation_bound(model, beta, depth, rng=None):
     """
     if beta <= 0:
         raise EngineError("moment order must be positive")
-    if not isinstance(depth, (int, np.integer)) or depth < 0:
-        raise EngineError("depth must be an integer >= 0")
+    _validate_depth(depth)
     eta = contraction_factor(model, beta)
     if not contractive(eta):
         return math.inf
@@ -468,10 +462,6 @@ _CSV_MAGIC = "branchtail-batch v1"
 _CSV_BLOCK_ROWS = 1 << 14
 _READ_BLOCK_BYTES = 1 << 18
 _ROW_SPACES = (b" ", b"\t", b"\r", b"\v", b"\f")
-
-
-def _floats_csv(array):
-    return ",".join(repr(float(x)) for x in array)
 
 
 def write_batch_csv(batch, path):
@@ -490,7 +480,7 @@ def write_batch_csv(batch, path):
         "total_nodes": str(batch.total_nodes),
         "truncated_replications": str(batch.truncated_replications),
         "model_fingerprint": batch.model_fingerprint,
-        "level_mean": _floats_csv(batch.level_mean),
+        "level_mean": ",".join(repr(float(x)) for x in batch.level_mean),
         "level_max": ",".join(str(int(x)) for x in batch.level_max),
     }
     lines = [f"# {_CSV_MAGIC}"]
@@ -514,7 +504,7 @@ def read_batch_csv(path):
     of the header's completed count, capped by what the bytes left in
     the file can hold; beyond it the reader holds about two blocks.  A
     read of 10^6 values (11.2 MB, 2 shared vCPUs of an Intel Xeon) takes
-    about 0.22 s, against 0.30 s for numpy's ``loadtxt`` (BENCH_25.json).
+    about 0.22 s (BENCH_25.json).
 
     Raises EngineError on a field or row that does not parse, a row that
     holds whitespace, and on values that break a SampleBatch invariant:
@@ -552,7 +542,7 @@ def read_batch_csv(path):
             )
         except KeyError as exc:
             raise EngineError(f"batch CSV missing metadata field {exc}") from None
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # past int64: level_max
             raise EngineError(f"batch CSV metadata does not parse: {exc}") from None
         count = fields["stream_count"] - fields["truncated_replications"]
         # a value row takes two bytes at least: a digit and its newline

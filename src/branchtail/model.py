@@ -65,13 +65,18 @@ def _exp(x):
 # count laws (offspring distribution)
 
 
+def _count_point(value, what):
+    """``value`` as an int, if int64, the dtype of every count, holds it."""
+    if _finite_number(value) and value == int(value) and 0 <= value < 2 ** 63:
+        return int(value)
+    raise ModelError(f"{what} must be a nonnegative integer below 2^63")
+
+
 class DeterministicCount:
     family = "deterministic"
 
     def __init__(self, value):
-        if value != int(value) or value < 0:
-            raise ModelError("deterministic count must be a nonnegative integer")
-        self.value = int(value)
+        self.value = _count_point(value, "deterministic count")
         self._one = np.array([self.value], dtype=np.int64)
 
     def sample(self, rng, size):
@@ -109,10 +114,9 @@ class TwoPointCount:
             raise ModelError("two-point probabilities must be finite numbers")
         # float() also reads the string keys that params() writes
         pts = sorted((float(k), float(p)) for k, p in values.items())
-        if not all(k.is_integer() and k >= 0 for k, _ in pts):
-            raise ModelError("two-point support must be nonnegative integers")
         (a, self.pa), (b, self.pb) = pts
-        self.a, self.b = int(a), int(b)
+        self.a, self.b = (_count_point(k, "two-point support point")
+                          for k in (a, b))
         if not (0.0 <= self.pa <= 1.0 and 0.0 <= self.pb <= 1.0):
             raise ModelError("two-point probabilities must lie in [0, 1]")
         if abs(self.pa + self.pb - 1.0) > 1e-12:
@@ -493,12 +497,8 @@ class VectorModel:
         draw returns the same read-only empty array.
         """
         counts = self.n_law.sample(rng, size)
-        if size is None:
-            total = int(counts)
-        elif size * (self.n_law.max_value() or 2 ** 63) < 2 ** 63:
-            total = int(counts.sum())  # bounded below 2^63, so exact
-        else:  # a float sum cannot wrap around, and is exact below 2^53
-            total = counts.sum(dtype=float)
+        # one node skips the call, about 4% of a model_b exact replication
+        total = int(counts) if size is None else self.child_total(counts, size)
         if limit is not None and total > limit:
             return counts, None
         if total == 0:
@@ -510,6 +510,15 @@ class VectorModel:
         if self.c_scale != 1.0:
             weights = weights * self.c_scale
         return counts, weights
+
+    def child_total(self, counts, size):
+        """Sum of ``counts`` for ``size`` nodes, never wrapped around: an int
+        where it is bounded below 2^63, else a float, exact below 2^53."""
+        if size is None:
+            return int(counts)
+        if size * (self.n_law.max_value() or 2 ** 63) < 2 ** 63:
+            return int(counts.sum())
+        return counts.sum(dtype=float)
 
     # -- closed-form moment helpers ---------------------------------------
 

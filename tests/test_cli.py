@@ -348,6 +348,11 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     # above numpy's largest poisson mean
     (["--set", "model.n={family: poisson, mean: 1.0e+19}", "simulate",
       "--force"], None),
+    # count support points past int64, which every count is drawn into
+    (["--set", "model.n={family: deterministic, value: 1.0e+19}",
+      "solve-alpha"], None),
+    (["--set", "model.n.values={0: 0.5, 10000000000000000000: 0.5}",
+      "simulate", "--force"], None),
     # a NaN parameter used to reach sampling and every check of verify
     (["--set", "model.c.sigma2=.nan", "verify"], None),
     (["--set", "model.c.mu=.nan", "verify"], None),
@@ -378,6 +383,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["analyze"], (-2, "nan")),
     (["analyze"], (-2, "")),  # a blank row: one value row short
     (["analyze"], (1, "# kind=foo")),
+    (["analyze"], (10, "# level_max=99999999999999999999")),  # past int64
     # an iterate batch's header rows: a kind no command writes
     (["analyze"], (1, "# kind=iterate-from\n# base_kind=linear")),
 ], ids=["depth-word", "depth-float", "reps-word", "int-list", "float-word",
@@ -390,6 +396,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "moment-depth-negative", "iterate-start-negative",
         "renewal-n-zero", "renewal-n-five", "model-scale-word",
         "model-mean-inf", "model-bound-inf", "model-mean-huge",
+        "model-count-huge", "model-support-huge",
         "model-sigma2-nan",
         "model-mu-nan", "model-scale-nan", "model-unknown-param",
         "model-support-list", "model-support-fraction", "model-coupling",
@@ -397,7 +404,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "model-children-wrap", "model-children-wrap-precheck",
         "seed-word", "reps-float", "workers-word",
         "value-row", "metadata-row", "not-utf8", "value-nan",
-        "value-dropped", "kind-row", "iterate-kind-rows"])
+        "value-dropped", "kind-row", "level-max-huge", "iterate-kind-rows"])
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
                                                corrupt):
     path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,

@@ -173,6 +173,18 @@ def test_budget_hit_draws_no_weights_of_the_generation_over_it():
     assert (value, nodes, z) == (None, 1 + born, [1])
 
 
+def test_an_abandoned_replication_counts_its_nodes_without_wrap_around():
+    # two nodes of 5e18 children each hold 1e19 in all, past int64
+    m = make_model({"n": {"family": "two-point", "values": {2: 0.5, 5e18: 0.5}},
+                    "c": {"family": "uniform", "b": 1e-19}, "q": det(1.0)})
+    batch = run_batch(m, "linear", 2, 50, budget=100, seed=1)
+    abandoned = batch.node_counts[batch.truncated]
+    assert 0 < abandoned.size == batch.truncated_replications < 50
+    assert (abandoned > 100).all()
+    assert abandoned.max() == 2 ** 63 - 1  # a count past int64, capped
+    assert batch.total_nodes == sum(batch.node_counts.tolist()) > 2 ** 63
+
+
 def test_generation_frontier_grows_a_forest_with_owners():
     binary = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
     rng = np.random.default_rng(0)
@@ -375,12 +387,13 @@ def _plain_draw(law):
 def _v1_replication(model, kind, depth, budget, seed, i):
     """Replication i of stream contract v1, written out with plain numpy
     array draws of the model's laws: tolls, then counts, then every child
-    weight, per generation, whatever the generation's width."""
+    weight, per generation, whatever the generation's width.  Returns
+    (value, nodes, widths of the generations grown)."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, i], dtype=np.uint64)))
     draw_n, draw_c = _plain_draw(model.n_law), _plain_draw(model.c_law)
     draw_q = _plain_draw(model.q_law)
-    pi, path, acc, nodes, level = np.ones(1), 0.0, 0.0, 1, 0
+    pi, path, acc, nodes, level, widths = np.ones(1), 0.0, 0.0, 1, 0, [1]
     while True:
         last = level == depth
         if kind != "homogeneous-martingale" or last:
@@ -399,14 +412,15 @@ def _v1_replication(model, kind, depth, budget, seed, i):
         weights = weights * model.c_scale
         nodes += weights.size
         if nodes > budget:
-            return None, nodes
+            return None, nodes, widths
         if weights.size == 0:
             break
         if kind == "max-plus":
             path = np.repeat(path, counts)
         pi = np.repeat(pi, counts) * weights
+        widths.append(pi.size)
         level += 1
-    return acc, nodes
+    return acc, nodes, widths
 
 
 _V1_KINDS = ("linear", "max", "max-plus", "homogeneous-martingale")
@@ -447,14 +461,18 @@ def test_batch_follows_stream_contract_v1(model_type, depth, kind):
     # 2050 replications cross a chunk boundary; the budget abandons some
     reps, seed = 2050, 424242
     batch = run_batch(m, kind, depth, reps, budget=budget, seed=seed)
-    values, nodes, truncated = [], [], []
+    values, nodes, truncated, thinned = [], [], [], 0
     for i in range(reps):
-        value, n = _v1_replication(m, kind, depth, budget, seed, i)
+        value, n, widths = _v1_replication(m, kind, depth, budget, seed, i)
         nodes.append(n)
         truncated.append(value is None)
         if value is not None:
             values.append(value)
+        thinned += any(w == 1 and max(widths[:k]) > 1
+                       for k, w in enumerate(widths) if k)
     assert 0 < sum(truncated) < reps
+    if model_type in _V1_MODELS:  # a width of one after a wider generation
+        assert thinned > 0
     assert batch.values.tobytes() == np.array(values).tobytes()
     assert batch.node_counts.tolist() == nodes
     assert batch.truncated.tolist() == truncated
