@@ -51,7 +51,7 @@ from .renewal import _MAX_CONVOLUTION, TiltError, _factorization_checks
 from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
                     DEFAULT_QUANTILE_BAND, TailError, ks_distance, tail_report)
 
-SCHEMA = "branchtail-report-v2"
+SCHEMA = "branchtail-report-v3"
 OUTPUT_DIR_ENV = "BRANCHTAIL_OUTPUT_DIR"
 
 DEFAULTS = {
@@ -66,7 +66,6 @@ DEFAULTS = {
     "truncation_beta": 0.5,
     "solver": {
         "tol": 1e-12,
-        "epsilon": 0.5,
     },
     "tails": {
         "k": None,
@@ -95,11 +94,14 @@ DEFAULTS = {
 _NULLABLE = {"depth": int, "output_dir": str, "tails.k": int,
              "tails.alpha": float}
 _PAIRS = ("tails.quantile_band", "verify.iterate_starts")
+# The largest moment order: K_beta builds every integer order below beta,
+# and 1,000 orders take seconds
+_MAX_ORDER = 2 ** 10
 # Ranges, judged once the types hold; every float must also be finite.
 _RANGES = (
     ("seed", lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
     ("solver.tol", lambda v: v > 0, "> 0"),
-    ("truncation_beta", lambda v: v > 0, "> 0"),
+    ("truncation_beta", lambda v: 0 < v <= _MAX_ORDER, "in (0, 2^10]"),
     ("tails.bootstrap", lambda v: v == 0 or v >= 2, "0 or >= 2"),
     ("verify.renewal_reps", lambda v: v >= 2, ">= 2"),
     ("verify.moment_reps", lambda v: v >= 2, ">= 2"),
@@ -107,6 +109,8 @@ _RANGES = (
     ("verify.renewal_n", lambda v: all(1 <= n <= _MAX_CONVOLUTION for n in v),
      f"in 1..{_MAX_CONVOLUTION}"),
     ("verify.moment_depths", lambda v: min(v, default=0) >= 0, ">= 0"),
+    ("verify.moment_betas", lambda v: max(v, default=0) <= _MAX_ORDER,
+     "<= 2^10"),
     ("verify.iterate_starts", lambda v: min(v) >= 0, ">= 0"),
 )
 
@@ -282,8 +286,7 @@ def _jsonable(value):
 def _solve_and_check(config, model):
     """Root and theorem-condition report; raises SolverError without a root."""
     sol = solve_alpha(model, tol=config["solver"]["tol"])
-    return sol, check_conditions(model, sol, config["kind"],
-                                 epsilon=config["solver"]["epsilon"])
+    return sol, check_conditions(model, sol, config["kind"])
 
 
 def cmd_solve_alpha(config):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import recursion
-from .model import (ModelError, MomentValue, dominance_ratio, fold_by_owner,
+from .model import (ModelError, MomentValue, dominated, fold_by_owner,
                     mean_se, moment_function, moment_function_deriv)
 from .moments import _sum_interpolation_bound, fixed_point_mean_exact
 
@@ -52,8 +52,10 @@ def tail_constant_closed_form(model, alpha, kind):
     Additive kind at alpha 1: E[Q] / mu.  Additive kind at alpha 2:
     (E[Q^2] + 2 E[R] E[Q] E[sum C] + 2 E[R]^2 E[pair sum]) / (2 mu),
     with E[R] from the exact mean formula (never a batch).  Martingale
-    kind at alpha 2: E[pair sum] / mu.  Here mu is the derivative of
-    the moment function at alpha.
+    kind at alpha 2: the same with the toll terms at 0 and E[R] the mean
+    mark, since its batch tends to E[mark] times the martingale limit,
+    whose mean is 1.  Here mu is the derivative of the moment function
+    at alpha.
 
     Raises
     ------
@@ -65,29 +67,31 @@ def tail_constant_closed_form(model, alpha, kind):
     if children is not np.add:
         raise ConstantError(f"no closed form for kind {kind!r}")
     a = _alpha_integer(alpha)
-    if toll is None:
-        if a != 2:
-            raise ConstantError(
-                "martingale closed form is available at alpha = 2 only")
-        mu = moment_function_deriv(model, 2.0).value
-        return _pair_moment(model) / mu
+    if toll is None and a != 2:
+        raise ConstantError(
+            "martingale closed form is available at alpha = 2 only")
     if a == 1:
         mu = moment_function_deriv(model, 1.0).value
         return model.q_mean() / mu
-    if a == 2:
+    if a != 2:
+        raise ConstantError("closed forms exist at alpha in {1, 2} only")
+    if toll is None:
+        toll_second = cross = 0.0
+        mean_r = model.mark_law.mean()
+    else:
         mean_r = fixed_point_mean_exact(model)
         if not math.isfinite(mean_r):
             raise ConstantError(
                 "additive alpha=2 closed form needs a finite mean, "
                 "so the mean weight sum must contract")
-        mu = moment_function_deriv(model, 2.0).value
-        rho = moment_function(model, 1.0).value
-        cross = model.q_mean() * rho  # E[Q] E[sum C], toll independent
-        second = (model.q_moment(2.0)
-                  + 2.0 * mean_r * cross
-                  + 2.0 * mean_r ** 2 * _pair_moment(model))
-        return second / (2.0 * mu)
-    raise ConstantError("closed forms exist at alpha in {1, 2} only")
+        toll_second = model.q_moment(2.0)
+        # E[Q] E[sum C], toll independent
+        cross = model.q_mean() * moment_function(model, 1.0).value
+    mu = moment_function_deriv(model, 2.0).value
+    second = (toll_second
+              + 2.0 * mean_r * cross
+              + 2.0 * mean_r ** 2 * _pair_moment(model))
+    return second / (2.0 * mu)
 
 
 def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
@@ -151,7 +155,7 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
     outer = (toll or np.add)(fold_by_owner(children, owner, terms, reps), q)
     integrand = (outer ** alpha - power_sums) / (alpha * mu)
     value, se = mean_se(integrand)
-    suspect = alpha >= 2.0 and dominance_ratio(integrand) > 0.05
+    suspect = alpha >= 2.0 and dominated(integrand)
     return MomentValue(value, "monte-carlo", se, suspect=suspect)
 
 

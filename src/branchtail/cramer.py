@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    ModelError,
-    _power_sum_moment,
-    moment_function,
-    moment_function_deriv,
-    sum_moment,
-)
+from .model import moment_function, moment_function_deriv
 from .engine import recursion
 from .moments import contractive
 
@@ -86,10 +80,9 @@ class CramerSolution:
 @dataclass
 class ConditionEntry:
     name: str
-    status: str  # "pass" | "fail" | "unknown"
+    status: str  # "pass" | "fail"
     evidence: str
     value: float | None = None
-    std_error: float = 0.0
 
 
 @dataclass
@@ -217,23 +210,18 @@ def _least_residual(f, theta):
 # theorem-condition checks
 
 
-_CONDITION_SEED = 0x5EEDC04D  # MC-backed entries must be deterministic
-
-
-def _mc_entry_rng():
-    return np.random.default_rng(_CONDITION_SEED)
-
-
-def check_conditions(model, sol, kind, epsilon=0.5):
+def check_conditions(model, sol, kind):
     """Evaluate every hypothesis of the tail theorem for this recursion kind.
 
-    Failures become report entries, never exceptions.  Monte Carlo backed
-    entries (finiteness of composite moments) use an internal fixed-seed
-    stream and mark themselves ``unknown`` when the sample maxima dominate
-    the mean.
+    Failures become report entries, never exceptions.  Every entry is a
+    closed form.  The moment hypotheses, E[(sum C)^alpha] < inf for
+    alpha > 1 and E[(sum C^(alpha/(1+eps)))^(1+eps)] < inf for some eps
+    in (0, 1) for alpha <= 1, are one entry, ``weight-moment-finite``:
+    N is independent of the iid C, so either moment lies between
+    E[N] E[C^alpha] and E[N^p] E[C^alpha], p = alpha or 1 + eps, and
+    every count family has finite moments of every order.  So both hold
+    exactly when E[C^alpha] is finite, and no eps needs choosing.
     """
-    if not 0 < epsilon < 1:
-        raise ModelError("epsilon must lie in (0, 1)")
     _, toll = recursion(kind)
     alpha = sol.alpha
     entries = []
@@ -279,50 +267,31 @@ def check_conditions(model, sol, kind, epsilon=0.5):
         )
     )
 
-    # a root solved to machine precision can land a few ulp above 1; such a
-    # root is the alpha = 1 case and must take the epsilon branch
-    if alpha > 1.0 + _CRITICAL_TOL:
-        if toll is np.add:
-            rho = moment_function(model, 1.0).value
-            # strict guard: a rho within an ulp of 1 is the critical case,
-            # where the additive fixed point has no finite mean
-            entries.append(
-                ConditionEntry(
-                    "mean-contraction",
-                    "pass" if contractive(rho) else "fail",
-                    f"moment function at 1 = {rho:.6g}",
-                    rho,
-                )
-            )
-        sm = sum_moment(model, alpha, reps=200_000, rng=_mc_entry_rng())
-        if not math.isfinite(sm.value):
-            status = "fail"
-        elif sm.suspect:
-            status = "unknown"
-        else:
-            status = "pass"
+    # a root solved to machine precision can land a few ulp above 1; such
+    # a root is the alpha = 1 case, where the mean need not contract
+    if alpha > 1.0 + _CRITICAL_TOL and toll is np.add:
+        rho = moment_function(model, 1.0).value
+        # strict guard: a rho within an ulp of 1 is the critical case,
+        # where the additive fixed point has no finite mean
         entries.append(
             ConditionEntry(
-                "sum-moment-finite",
-                status,
-                f"E[(sum C)^alpha] ~ {sm.value:.6g} ({sm.method})",
-                sm.value,
-                sm.std_error,
+                "mean-contraction",
+                "pass" if contractive(rho) else "fail",
+                f"moment function at 1 = {rho:.6g}",
+                rho,
             )
         )
-    else:
-        em = _power_sum_moment(model, alpha, 1 + epsilon, 200_000,
-                               _mc_entry_rng())
-        entries.append(
-            ConditionEntry(
-                "moment-condition-eps",
-                "pass" if math.isfinite(em.value) else "fail",
-                f"E[(sum C^(a/(1+eps)))^(1+eps)] ~ {em.value:.6g} "
-                f"(eps = {epsilon:g}, {em.method})",
-                em.value,
-                em.std_error,
-            )
+    ca = model.c_moment(alpha)
+    entries.append(
+        ConditionEntry(
+            "weight-moment-finite",
+            "pass" if math.isfinite(ca) else "fail",
+            f"E[C^alpha] = {ca:.6g}; the theorem's weight-sum moment lies "
+            f"between E[N] and E[N^p] times it, p = alpha or 1 + eps, "
+            f"so no eps needs choosing",
+            ca,
         )
+    )
 
     if toll is None:
         rho = moment_function(model, 1.0).value

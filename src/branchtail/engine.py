@@ -442,7 +442,8 @@ def truncation_bound(model, beta, depth, rng=None):
     geometric tail sum 1 / (1 - eta^(1/p))^p, with p = beta v 1
     (subadditivity below 1, Minkowski above) and eta the
     ``contraction_factor``.  Outside the contractive regime it
-    returns ``inf`` before any draw rather than raising.
+    returns ``inf`` before any draw rather than raising, and where
+    ``(1 - eta^(1/p))^p`` underflows to 0 it returns ``inf`` too.
     """
     if beta <= 0:
         raise EngineError("moment order must be positive")
@@ -452,7 +453,8 @@ def truncation_bound(model, beta, depth, rng=None):
         return math.inf
     head = generation_moment_bound(model, beta, depth + 1, rng=rng).value
     p = max(beta, 1.0)
-    return head / (1.0 - eta ** (1.0 / p)) ** p
+    tail_sum = (1.0 - eta ** (1.0 / p)) ** p
+    return head / tail_sum if tail_sum > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ __all__ = [
     "moment_function",
     "moment_function_deriv",
     "sum_moment",
-    "dominance_ratio",
+    "dominated",
     "mean_se",
     "fold_by_owner",
 ]
@@ -642,16 +642,16 @@ def moment_function_deriv(model, theta):
                        "closed-form")
 
 
-def dominance_ratio(samples):
-    """Share of the total absolute mass carried by the single largest term.
+def dominated(samples):
+    """Whether the single largest term carries more than 5% of the total
+    absolute mass, the one rule for "a few draws dominate".
 
-    A large value on a big sample suggests the underlying moment may be
-    infinite (the usual heavy-tail failure mode of naive averaging).
+    On a big sample this suggests the underlying moment may be infinite
+    (the usual heavy-tail failure mode of naive averaging).
     """
-    total = np.abs(samples).sum()
-    if total == 0.0:
-        return 0.0
-    return float(np.abs(samples).max() / total)
+    magnitudes = np.abs(samples)
+    total = magnitudes.sum()
+    return bool(total != 0.0 and magnitudes.max() / total > 0.05)
 
 
 def mean_se(samples):
@@ -689,34 +689,24 @@ def sum_moment(model, beta, reps=100_000, rng=None):
     Closed form when N <= 1 almost surely (P(N=1) * E[C^beta]) or when both
     laws are deterministic; Monte Carlo with a standard error otherwise.
     """
-    return _power_sum_moment(model, beta, beta, reps, rng)
-
-
-def _power_sum_moment(model, theta, beta, reps, rng):
-    """E[(sum_i C_i^(theta/beta))^beta], estimated as ``sum_moment`` says."""
     if beta <= 0:
         raise ModelError("moment order must be positive")
-    inner = theta / beta
     n_max = model.n_law.max_value()
     if n_max is not None and n_max <= 1:
-        # a single term: the inner and outer powers cancel to C^theta
         p_one = 1.0 - model.n_law.prob_zero()
-        return MomentValue(p_one * model.c_moment(theta), "closed-form")
+        return MomentValue(p_one * model.c_moment(beta), "closed-form")
     if isinstance(model.n_law, DeterministicCount) and isinstance(
         model.c_law, DeterministicValue
     ):
-        total = (model.n_law.value * model.c_law.value ** inner
-                 * model.c_scale ** inner)
+        total = model.n_law.value * model.c_law.value * model.c_scale
         return MomentValue(total ** beta, "closed-form")
     if rng is None:
         raise ModelError("sum_moment needs an rng for Monte Carlo estimation")
     if reps < 1:
         raise ModelError("reps must be >= 1")
     counts, weights = model.draw_offspring(rng, reps)
-    if inner != 1.0:
-        weights = weights ** inner
     owner = np.repeat(np.arange(reps), counts)
     powered = fold_by_owner(np.add, owner, weights, reps) ** beta
     estimate, se = mean_se(powered)
-    suspect = reps >= 1000 and dominance_ratio(powered) > 0.05
+    suspect = reps >= 1000 and dominated(powered)
     return MomentValue(estimate, "monte-carlo", se, suspect=suspect)

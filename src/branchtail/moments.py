@@ -77,6 +77,10 @@ def constructive_constant(model, beta, rng=None):
     """
     if beta < 1.0:
         raise BoundError("constructive constant is defined for beta >= 1")
+    # log-convexity of the moment function puts eta_x <= eta_beta for
+    # every 1 < x <= beta, so eta_beta decides before any order is built
+    if beta > 1.0 and not contractive(contraction_factor(model, beta)):
+        return MomentValue(math.inf, "closed-form")
     orders = [float(x) for x in range(2, math.ceil(beta))]
     if beta > 1.0:
         orders.append(float(beta))
@@ -86,8 +90,6 @@ def constructive_constant(model, beta, rng=None):
     for x in orders:
         below = math.ceil(x) - 1
         eta = contraction_factor(model, x)
-        if not contractive(eta):
-            return MomentValue(math.inf, method)
         if eta == 0.0:
             k = model.q_moment(x)
             continue

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (LognormalValue, ModelError, UniformValue, dominance_ratio,
+from .model import (LognormalValue, ModelError, UniformValue, dominated,
                     fold_by_owner, mean_se, moment_function,
                     moment_function_deriv, verdict)
 from .engine import DEFAULT_BUDGET, _WidthError, generation_frontier
@@ -200,7 +200,7 @@ def _factorization_checks(model, alpha, ns, gs, reps, rng, threshold=0.0,
     for n, (pi, owner) in grown.items():
         powered = pi ** alpha
         masses = fold_by_owner(np.add, owner, powered, reps)
-        heavy = bool(dominance_ratio(masses) > 0.05)
+        heavy = dominated(masses)
         for g in gs:
             lhs, lhs_se = mean_se(fold_by_owner(
                 np.add, owner, powered * g_fns[g](np.log(pi)), reps))

@@ -50,6 +50,17 @@ def poisson2_spec():
     }
 
 
+def heavy_spec():
+    # E[N] = 1.5 and log C ~ Normal(mu, 16), with mu set so that alpha =
+    # 1.2: so heavy that a few draws dominate any sample of sum C
+    return {
+        "n": {"family": "two-point", "values": {1: 0.5, 2: 0.5}},
+        "c": {"family": "lognormal", "sigma2": 16.0,
+              "mu": -(math.log(1.5) + 11.52) / 1.2},
+        "q": {"family": "deterministic", "value": 1.0},
+    }
+
+
 def uniform_model_spec():
     return {
         "n": {"family": "deterministic", "value": 3},

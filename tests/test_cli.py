@@ -21,8 +21,8 @@ from branchtail.engine import (DEFAULT_BUDGET, _iterate_forest,
                                truncation_bound)
 from branchtail.model import VectorModel, make_model
 
-from conftest import (model_a_spec, model_b_iterate, model_b_spec,
-                      poisson2_spec, uniform_model_spec)
+from conftest import (heavy_spec, model_a_spec, model_b_iterate,
+                      model_b_spec, poisson2_spec, uniform_model_spec)
 
 
 def write_config(tmp_path, spec, name="config.yaml", **top_level):
@@ -78,7 +78,7 @@ def test_solve_alpha_critical_pair_homogeneous(tmp_path):
     assert payload["alpha"] == pytest.approx(2.0, abs=1e-8)
     assert payload["root_kind"] == "second-root-of-critical-pair"
     assert payload["passed"] is True
-    assert payload["schema"] == "branchtail-report-v2"
+    assert payload["schema"] == "branchtail-report-v3"
 
 
 def test_solve_alpha_condition_failure_exits_two(tmp_path):
@@ -138,6 +138,59 @@ def test_a_config_setting_the_removed_bracket_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "config error: unknown config key: solver.bracket\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_config_setting_the_removed_epsilon_exits_one(tmp_path, capsys):
+    path = write_config(tmp_path, model_b_spec(), solver={"epsilon": 0.5},
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "solve-alpha"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: unknown config key: solver.epsilon\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_heavy_weights_solve_and_simulate_without_force(tmp_path):
+    # a few draws dominate any sample of sum C here; the weight-moment
+    # condition is a closed form and passes
+    path = write_config(tmp_path, heavy_spec(), reps=200,
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "solve-alpha"]) == 0
+    payload = read_json(tmp_path / "out" / "alpha_solution.json")
+    assert payload["passed"] is True
+    statuses = {c["name"]: c["status"] for c in payload["conditions"]}
+    assert statuses["weight-moment-finite"] == "pass"
+    assert main(["--config", path, "--depth", "4", "simulate"]) == 0
+    assert (tmp_path / "out" / "batch.csv").exists()
+
+
+@pytest.mark.parametrize("setting, command", [
+    ("truncation_beta=1025", "simulate"),
+    ("truncation_beta=1.0e+300", "simulate"),
+    ("verify.moment_betas=[1.0e+8]", "verify"),
+    ("verify.moment_betas=[0.5, 1.0e+300]", "verify"),
+])
+def test_a_moment_order_past_two_to_the_tenth_exits_one(tmp_path, capsys,
+                                                       setting, command):
+    # the constant K_beta builds every integer order below beta: 10^8 of
+    # them exhaust memory, and 10^300 never end
+    path = write_config(tmp_path, model_b_spec(),
+                        output_dir=str(tmp_path / "out"))
+    assert main(["--config", path, "--set", setting, command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {setting.split('=')[0]} must be ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_underflowed_truncation_tail_sum_is_an_infinite_bound(tmp_path):
+    # (1 - eta^(1/150))^150 underflows to 0 at eta = 0.45
+    spec = {"n": {"family": "deterministic", "value": 3},
+            "c": {"family": "uniform", "b": 0.3},
+            "q": {"family": "deterministic", "value": 1.0}}
+    path = write_config(tmp_path, spec, reps=100, depth=4,
+                        truncation_beta=150, output_dir=str(tmp_path))
+    assert main(["--config", path, "simulate", "--force"]) == 0
+    assert read_json(tmp_path / "summary.json")["truncation_bound"] == "inf"
 
 
 def test_default_bracket_solves_and_certifies_poisson2(tmp_path):
@@ -333,6 +386,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "verify.corrupt_bound_self_test=true", "verify"], None),
     # removed in 0.11.0: alpha no longer depends on a search bracket
     (["--set", "solver.bracket=[0.1, 8.0]", "solve-alpha"], None),
+    # removed in 0.14.0: every condition is a closed form that needs no eps
+    (["--set", "solver.epsilon=0.5", "solve-alpha"], None),
     (["--set", "tails.bootstrap=1", "solve-alpha"], None),
     (["--set", "tails.bootstrap=-1", "solve-alpha"], None),
     (["--seed", "-1", "verify"], None),
@@ -367,11 +422,6 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     # moments beyond the largest double read as infinite
     (["--set", "model.c.mu=7684", "solve-alpha"], None),
     (["--set", "model.c_scale=1.0e+300", "solve-alpha"], None),
-    # 200,000 Poisson counts of mean 1e15 sum past 2^63; the sum once wrapped
-    (["--set", "model.n={family: poisson, mean: 1.0e+15}",
-      "--set", "model.c_scale=4.9e-11", "solve-alpha"], None),
-    (["--set", "model.n={family: poisson, mean: 1.0e+15}",
-      "--set", "model.c_scale=4.9e-11", "simulate"], None),
     # argparse's usage errors, which once exited 2
     (["--seed", "abc", "simulate"], None),
     (["--reps", "1e5", "simulate"], None),
@@ -391,7 +441,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "float-list-nan", "float-nan", "truncation-beta-zero",
         "truncation-beta-negative", "threshold-nan", "tol-nan", "tol-inf",
         "tol-zero", "verify-reps-one", "self-test-leaf", "bracket-leaf",
-        "bootstrap-one",
+        "epsilon-leaf", "bootstrap-one",
         "bootstrap-negative", "seed-negative",
         "moment-depth-negative", "iterate-start-negative",
         "renewal-n-zero", "renewal-n-five", "model-scale-word",
@@ -401,7 +451,6 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "model-mu-nan", "model-scale-nan", "model-unknown-param",
         "model-support-list", "model-support-fraction", "model-coupling",
         "model-moment-overflow", "model-scale-overflow",
-        "model-children-wrap", "model-children-wrap-precheck",
         "seed-word", "reps-float", "workers-word",
         "value-row", "metadata-row", "not-utf8", "value-nan",
         "value-dropped", "kind-row", "level-max-huge", "iterate-kind-rows"])
@@ -427,6 +476,27 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, argv,
     else:
         # refused before sampling, not after a whole run
         assert not (tmp_path / "batch.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-alpha", "simulate"])
+def test_a_child_total_past_2_63_is_judged_without_a_draw(tmp_path, capsys,
+                                                          command):
+    # Poisson counts of mean 1e15: 200,000 of them once summed past 2^63
+    # in a Monte Carlo condition; the conditions now draw nothing, and the
+    # mean of sum C, 98,000, fails the contraction the linear kind needs
+    path = write_config(tmp_path, model_b_spec(0.9), reps=50, depth=3,
+                        seed=7, output_dir=str(tmp_path))
+    argv = ["--set", "model.n={family: poisson, mean: 1.0e+15}",
+            "--set", "model.c_scale=4.9e-11", command]
+    assert main(["--config", path] + argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) <= 1
+    assert not (tmp_path / "batch.csv").exists()
+    if command == "solve-alpha":
+        statuses = {c["name"]: c["status"] for c in
+                    read_json(tmp_path / "alpha_solution.json")["conditions"]}
+        assert statuses["weight-moment-finite"] == "pass"
+        assert statuses["mean-contraction"] == "fail"
 
 
 def test_help_exits_zero(capsys):

@@ -12,7 +12,7 @@ from branchtail.constants import (
 )
 from branchtail.cramer import check_conditions, solve_alpha
 from branchtail.engine import run_batch
-from branchtail.model import make_model
+from branchtail.model import make_model, moment_function_deriv
 
 from conftest import H_A, H_B, model_a_spec, model_b_spec
 
@@ -47,6 +47,18 @@ def test_closed_form_additive_at_one(model_b):
 def test_closed_form_martingale_at_two(model_a):
     h = tail_constant_closed_form(model_a, 2.0, "homogeneous-martingale")
     assert h == pytest.approx(H_A, rel=1e-12)
+
+
+def test_closed_form_martingale_scales_with_the_squared_mean_mark(model_a):
+    # the batch tends to E[mark] times the martingale limit, so H takes
+    # E[mark]^2; unit marks keep E[pair sum] / mu to the bit
+    unit = tail_constant_closed_form(model_a, 2.0, "homogeneous-martingale")
+    pair = model_a.n_law.pair_mean() * model_a.c_moment(1.0) ** 2
+    mu = moment_function_deriv(model_a, 2.0).value
+    assert unit == pair / mu
+    doubled = make_model(dict(model_a_spec(), q=det(2.0)))
+    assert tail_constant_closed_form(
+        doubled, 2.0, "homogeneous-martingale") == 4.0 * unit
 
 
 def test_closed_form_additive_at_two_chain_hand_value():

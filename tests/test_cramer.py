@@ -13,11 +13,12 @@ from branchtail.cramer import (
     check_conditions,
     solve_alpha,
 )
-from branchtail.model import (make_model, moment_function,
+from branchtail.engine import KINDS
+from branchtail.model import (VectorModel, make_model, moment_function,
                               moment_function_deriv)
 
-from conftest import (ALPHA_UNIFORM, MU_A, MU_B, model_a_spec, model_b_spec,
-                      poisson2_spec)
+from conftest import (ALPHA_UNIFORM, MU_A, MU_B, heavy_spec, model_a_spec,
+                      model_b_spec, poisson2_spec)
 
 
 def det(value):
@@ -243,9 +244,10 @@ def test_conditions_model_b_linear(model_b):
     sol = solve_alpha(model_b)
     rep = check_conditions(model_b, sol, "linear")
     assert rep.overall_pass
-    eps = rep.entry("moment-condition-eps")
-    assert eps.status == "pass"
-    assert eps.value == pytest.approx(1.0)  # N <= 1 collapses it to the root value
+    weight = rep.entry("weight-moment-finite")
+    assert weight.status == "pass"
+    # E[N] E[C^alpha] = 1 at the root, and E[N] = 1/2
+    assert weight.value == pytest.approx(2.0)
 
 
 def test_conditions_arithmetic_weight_fails():
@@ -254,50 +256,6 @@ def test_conditions_arithmetic_weight_fails():
     rep = check_conditions(m, sol, "linear")
     assert rep.entry("nonarithmetic").status == "fail"
     assert not rep.overall_pass
-
-
-def _first_epsilon_condition(model, alpha, epsilon):
-    # the epsilon entry's Monte Carlo branch as first written in cramer
-    rng = np.random.default_rng(0x5EEDC04D)
-    reps = 200_000
-    counts, weights = model.draw_offspring(rng, reps)
-    inner = np.zeros(reps)
-    np.add.at(inner, np.repeat(np.arange(reps), counts),
-              weights ** (alpha / (1 + epsilon)))
-    powered = inner ** (1 + epsilon)
-    return (float(powered.mean()),
-            float(powered.std(ddof=1) / math.sqrt(reps)))
-
-
-@pytest.mark.parametrize("epsilon", [0.25, 0.5])
-@pytest.mark.parametrize("alpha", [0.8, 1.0])
-@pytest.mark.parametrize("spec", [
-    model_a_spec(),
-    {"n": {"family": "poisson", "mean": 1.5}, "c": {"family": "uniform", "b": 0.8},
-     "q": det(1.0)},
-], ids=["model_a", "poisson-uniform"])
-def test_epsilon_entry_is_the_shared_sum_moment_estimate(spec, alpha, epsilon):
-    m = make_model(spec)
-    sol = CramerSolution(alpha, 1.0, 0.0, "unique-root")
-    entry = check_conditions(m, sol, "linear", epsilon=epsilon).entry(
-        "moment-condition-eps")
-    value, se = _first_epsilon_condition(m, alpha, epsilon)
-    assert (entry.value.hex(), entry.std_error.hex()) == (value.hex(), se.hex())
-    assert "monte-carlo" in entry.evidence
-    assert entry.status == "pass"
-
-
-@pytest.mark.parametrize("epsilon", [0.25, 0.5])
-def test_epsilon_entry_closed_form_for_deterministic_laws(epsilon):
-    # N = 2, C = 1/2 at alpha = 1: (2 * 2^(-1/(1+eps)))^(1+eps) = 2^eps
-    m = make_model({"n": det(2), "c": det(0.5), "q": det(1.0)})
-    sol = CramerSolution(1.0, -0.693, 0.0, "unique-root")
-    entry = check_conditions(m, sol, "linear", epsilon=epsilon).entry(
-        "moment-condition-eps")
-    assert "closed-form" in entry.evidence
-    assert entry.std_error == 0.0
-    assert entry.value == pytest.approx(2.0 ** epsilon, rel=1e-15)
-    assert entry.status == "pass"
 
 
 def test_conditions_model_a_homogeneous(model_a):
@@ -340,7 +298,39 @@ def test_conditions_deterministic_given_inputs(model_a):
     ]
 
 
-def test_conditions_epsilon_validation(model_b):
-    sol = solve_alpha(model_b)
-    with pytest.raises(Exception):
-        check_conditions(model_b, sol, "linear", epsilon=1.5)
+def test_heavy_weights_pass_every_kind_with_a_toll():
+    # the martingale kind also needs a critical mean, which this model lacks
+    m = make_model(heavy_spec())
+    sol = solve_alpha(m)
+    assert sol.alpha == pytest.approx(1.2, rel=1e-12)
+    for kind in ("linear", "max", "max-plus"):
+        assert check_conditions(m, sol, kind).overall_pass
+
+
+@pytest.mark.parametrize("spec", [
+    model_a_spec(), model_b_spec(), model_b_spec(0.9), heavy_spec(),
+], ids=["model_a", "model_b", "model_b09", "heavy"])
+def test_conditions_draw_nothing(spec, monkeypatch):
+    m = make_model(spec)
+    sol = solve_alpha(m)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a condition drew a sample")
+
+    monkeypatch.setattr(VectorModel, "draw_offspring", no_draw)
+    monkeypatch.setattr(VectorModel, "draw_q", no_draw)
+    for kind in KINDS:
+        rep = check_conditions(m, sol, kind)
+        assert rep.entry("weight-moment-finite").value == m.c_moment(sol.alpha)
+
+
+def test_weight_moment_fails_where_the_weight_moment_overflows(model_b):
+    # E[C^theta] = exp(theta mu + theta^2 / 2) passes the largest double
+    # near theta = 37.5
+    sol = CramerSolution(40.0, 1.0, 0.0, "unique-root")
+    assert math.isinf(model_b.c_moment(40.0))
+    for kind in KINDS:
+        entry = check_conditions(model_b, sol, kind).entry(
+            "weight-moment-finite")
+        assert entry.status == "fail"
+        assert entry.value == math.inf
