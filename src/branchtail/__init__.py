@@ -63,4 +63,4 @@ from .constants import (
     tail_constant_report,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.14.1"

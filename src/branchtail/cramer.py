@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import moment_function, moment_function_deriv
+from .model import _moment_function, _moment_function_deriv, moment_function
 from .engine import recursion
 from .moments import contractive
 
@@ -123,10 +123,10 @@ def solve_alpha(model, tol=1e-12):
         raise SolverError("tol must be positive")
 
     def f(theta):
-        return moment_function(model, theta).value - 1.0
+        return _moment_function(model, theta) - 1.0
 
     def df(theta):
-        return moment_function_deriv(model, theta).value
+        return _moment_function_deriv(model, theta)
 
     least = _least_point(df)
     f_least, f_ceiling, f_floor = f(least), f(_CEILING), f(_FLOOR)

@@ -628,18 +628,28 @@ def moment_function(model, theta):
     """
     if theta < 0:
         raise ModelError("moment order must be nonnegative")
-    value = model.n_law.mean() * model.c_moment(theta)
-    return MomentValue(value if math.isfinite(value) else math.inf,
-                       "closed-form")
+    return MomentValue(_moment_function(model, theta), "closed-form")
 
 
 def moment_function_deriv(model, theta):
     """E[sum_i C_i^theta log C_i], the derivative of the moment function."""
     if theta <= 0:
         raise ModelError("moment order must be positive")
+    return MomentValue(_moment_function_deriv(model, theta), "closed-form")
+
+
+# The float formulas alone: the root solver evaluates them about a
+# thousand times per solve, and a MomentValue costs 40% of a call.
+
+
+def _moment_function(model, theta):
+    value = model.n_law.mean() * model.c_moment(theta)
+    return value if math.isfinite(value) else math.inf
+
+
+def _moment_function_deriv(model, theta):
     value = model.n_law.mean() * model.c_log_weighted_moment(theta)
-    return MomentValue(value if math.isfinite(value) else math.inf,
-                       "closed-form")
+    return value if math.isfinite(value) else math.inf
 
 
 def dominated(samples):

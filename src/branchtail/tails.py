@@ -308,9 +308,16 @@ def ks_distance(a, b):
     """
     a = np.sort(a)
     b = np.sort(b)
-    grid = np.concatenate([a, b])
-    gap = (np.searchsorted(a, grid, side="right") / a.size
-           - np.searchsorted(b, grid, side="right") / b.size)
+    pooled = np.concatenate([a, b])
+    # a stable argsort merges the two sorted runs in linear time (timsort);
+    # at the last point of each run of ties, the points of a and of b so
+    # far are those at or below it
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    last = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    in_a = np.cumsum(order < a.size)[last]
+    in_b = last + 1 - in_a
+    gap = in_a / a.size - in_b / b.size
     return float(np.abs(gap).max())
 
 

@@ -14,7 +14,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
+from branchtail import cli
 from branchtail.model import make_model
 
 LN13 = math.log(1.3)
@@ -92,6 +94,36 @@ def model_b03():
 @pytest.fixture(scope="session")
 def uniform_model():
     return make_model(uniform_model_spec())
+
+
+class PythonLoader(yaml.SafeLoader):
+    """PyYAML's pure-Python parser under the resolvers of ``cli._Loader``,
+    which parses with libyaml where PyYAML has it."""
+
+
+PythonLoader.yaml_implicit_resolvers = cli._Loader.yaml_implicit_resolvers
+
+
+def same_data(x, y):
+    """Equal YAML data of equal types, key order included; NaN equals NaN."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return len(x) == len(y) and all(
+            same_data(kx, ky) and same_data(vx, vy)
+            for (kx, vx), (ky, vy) in zip(x.items(), y.items()))
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(same_data, x, y))
+    if isinstance(x, float) and math.isnan(x):
+        return math.isnan(y)
+    return x == y
+
+
+def assert_loaders_agree(text):
+    """``cli._Loader`` and the pure-Python parser read ``text`` alike."""
+    ours = yaml.load(text, Loader=cli._Loader)
+    python = yaml.load(text, Loader=PythonLoader)
+    assert same_data(ours, python), (text, ours, python)
 
 
 def model_b_iterate(rng, kind, start, n, reps, c_scale=1.0):

@@ -31,7 +31,7 @@ from branchtail.moments import generation_moment_bound
 from branchtail.renewal import verify_product_measure
 from branchtail.tails import default_tail_count, hill_estimator, plateau_constant
 
-from conftest import (model_b_spec, uniform_model_spec,
+from conftest import (assert_loaders_agree, model_b_spec, uniform_model_spec,
                       ALPHA_UNIFORM, H_A, H_B)
 
 _MEAN_GRID_REPS = 20_000
@@ -225,6 +225,7 @@ def test_10_determinism_and_truncation_certificate(model_b09, tmp_path):
     }
     path = tmp_path / "config.yaml"
     path.write_text(yaml.dump(config))
+    assert_loaders_agree(path.read_text())
     outputs = []
     for workers in (1, 8):
         out = tmp_path / f"w{workers}"

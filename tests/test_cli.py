@@ -21,14 +21,17 @@ from branchtail.engine import (DEFAULT_BUDGET, _iterate_forest,
                                truncation_bound)
 from branchtail.model import VectorModel, make_model
 
-from conftest import (heavy_spec, model_a_spec, model_b_iterate,
-                      model_b_spec, poisson2_spec, uniform_model_spec)
+from conftest import (assert_loaders_agree, heavy_spec, model_a_spec,
+                      model_b_iterate, model_b_spec, poisson2_spec,
+                      uniform_model_spec)
 
 
 def write_config(tmp_path, spec, name="config.yaml", **top_level):
     payload = {"model": spec, **top_level}
     path = tmp_path / name
     path.write_text(yaml.dump(payload))
+    # every config a test writes reads alike under libyaml and Python
+    assert_loaders_agree(path.read_text())
     return str(path)
 
 
@@ -168,11 +171,14 @@ def test_heavy_weights_solve_and_simulate_without_force(tmp_path):
     ("truncation_beta=1.0e+300", "simulate"),
     ("verify.moment_betas=[1.0e+8]", "verify"),
     ("verify.moment_betas=[0.5, 1.0e+300]", "verify"),
+    ("verify.moment_betas=[0.0]", "verify"),
+    ("verify.moment_betas=[1.0, -0.5]", "verify"),
 ])
 def test_a_moment_order_past_two_to_the_tenth_exits_one(tmp_path, capsys,
                                                        setting, command):
     # the constant K_beta builds every integer order below beta: 10^8 of
-    # them exhaust memory, and 10^300 never end
+    # them exhaust memory, and 10^300 never end; an order <= 0 has no
+    # moment bound
     path = write_config(tmp_path, model_b_spec(),
                         output_dir=str(tmp_path / "out"))
     assert main(["--config", path, "--set", setting, command]) == 1
@@ -266,6 +272,44 @@ def test_simulate_precheck_and_force(tmp_path, capsys):
     assert main(["--config", path, "simulate"]) == 2
     assert "mean-contraction" in capsys.readouterr().err
     assert main(["--config", path, "simulate", "--force"]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "seed: 3\n", "", "{}", "[1, 2]", "1e-12", "1.5e3", "-2E+5", "1e0",
+    "1.0e+300", "6.0e-8", "1_000", "0x1F", "0o17", "1:30", ".inf", "-.inf",
+    ".nan", "~", "null", "yes", "Off", "exact", "'1e-12'", "!!str 1e-12",
+    "[0.5, 1.0e+300]", "{0: 0.5, 1: 0.5}", "{0.5: 0.5, 1: 0.5}",
+    "model:\n"
+    "  n: {family: two-point, values: {0: 0.5, 1: 0.5}}\n"
+    "  c: {family: lognormal, mu: 0.1931471805599453, sigma2: 1e0}\n"
+    "  q: {family: deterministic, value: 1.0}\n"
+    "solver: {tol: 1e-12}\n"
+    "verify:\n  moment_betas:\n  - 0.5\n  - 1e0\n",
+])
+def test_libyaml_and_python_loaders_agree(text):
+    assert_loaders_agree(text)
+
+
+def test_bytes_not_utf8_exit_one_in_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"seed: \xff\n")
+    assert main(["--config", str(path), "solve-alpha"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot decode {path}: ")
+    assert len(err.splitlines()) == 1
+    # argv bytes that are not UTF-8 reach --set as lone surrogates
+    config = write_config(tmp_path, model_b_spec(0.9),
+                          output_dir=str(tmp_path / "out"))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "branchtail", "--config", config, "--set",
+         b"seed=\xff", "solve-alpha"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("config error: --set seed: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_missing_model_exits_one(tmp_path, capsys):
@@ -422,6 +466,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     # moments beyond the largest double read as infinite
     (["--set", "model.c.mu=7684", "solve-alpha"], None),
     (["--set", "model.c_scale=1.0e+300", "solve-alpha"], None),
+    # argv bytes that are not UTF-8: libyaml cannot encode the surrogate
+    (["--set", "seed=\udcff", "solve-alpha"], None),
     # argparse's usage errors, which once exited 2
     (["--seed", "abc", "simulate"], None),
     (["--reps", "1e5", "simulate"], None),
@@ -450,7 +496,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "model-sigma2-nan",
         "model-mu-nan", "model-scale-nan", "model-unknown-param",
         "model-support-list", "model-support-fraction", "model-coupling",
-        "model-moment-overflow", "model-scale-overflow",
+        "model-moment-overflow", "model-scale-overflow", "set-not-utf8",
         "seed-word", "reps-float", "workers-word",
         "value-row", "metadata-row", "not-utf8", "value-nan",
         "value-dropped", "kind-row", "level-max-huge", "iterate-kind-rows"])
@@ -578,6 +624,12 @@ def test_set_fuzz_never_escapes_main(fuzz_config, leaf, raw):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().strip().splitlines()) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_YAML_VALUES)
+def test_libyaml_and_python_loaders_agree_on_dumped_values(raw):
+    assert_loaders_agree(raw)
 
 
 @pytest.fixture(scope="module")

@@ -116,6 +116,22 @@ def test_fixture_alpha_bits(request, name, alpha_hex):
     assert solve_alpha(request.getfixturevalue(name)).alpha.hex() == alpha_hex
 
 
+@pytest.mark.parametrize("name, alpha_repr, mu_hex", [
+    ("model_a", "2.0000000000000018", "0x1.0ca937be1b9ecp-3"),
+    ("model_b", "1.0", "0x1.317217f7d1cf8p+0"),
+    ("model_b09", "1.0928914706007486", "0x1.2e40ec1b164a7p+0"),
+])
+def test_fixture_solution_bits(request, name, alpha_repr, mu_hex):
+    # the solver evaluates the float formulas behind moment_function and
+    # moment_function_deriv; the public functions give the same bits
+    model = request.getfixturevalue(name)
+    sol = solve_alpha(model)
+    assert repr(sol.alpha) == alpha_repr
+    assert sol.mu.hex() == mu_hex
+    assert sol.mu == moment_function_deriv(model, sol.alpha).value
+    assert sol.residual == 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.05, 12.0])
 def test_solves_roots_outside_the_old_default_bracket(alpha):
     # N in {0, 1} and lognormal(mu, 1) weights: log m(theta) =

@@ -258,10 +258,13 @@ def test_stability_flags_unconverged_depth(model_b09):
 
 def ks_samples():
     ties = st.lists(st.integers(0, 4).map(float), min_size=1, max_size=60)
+    # -0.0 and 0.0 are one point of either CDF
+    zeros = st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), min_size=1,
+                     max_size=60)
     floats = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60)
     draws = st.tuples(st.integers(1, 500), st.integers(0, 2 ** 32 - 1)).map(
         lambda t: np.random.default_rng(t[1]).lognormal(size=t[0]))
-    return ties | floats | draws
+    return ties | zeros | floats | draws
 
 
 @given(ks_samples(), ks_samples())
@@ -271,6 +274,22 @@ def ks_samples():
 def test_ks_distance_is_the_scipy_statistic(a, b):
     expected = sstats.ks_2samp(a, b, method="asymp").statistic
     assert ks_distance(a, b) == expected
+    assert ks_distance(np.asarray(a), np.asarray(b)) == expected
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([1.0], [2.0], 1.0),
+    ([2.0], [1.0], 1.0),
+    ([1.0], [1.0], 0.0),
+    ([-0.0], [0.0], 0.0),
+    ([0.0, 1.0], [-0.0], 0.5),
+    ([1.0, 2.0, 2.0], [2.0], 1.0 / 3.0),
+    ([2.0, 1.0, 2.0], [2.0, 0.0], 0.5),
+])
+def test_ks_distance_takes_lists_and_single_points(a, b, expected):
+    assert ks_distance(a, b) == expected
+    assert ks_distance(np.array(a), np.array(b)) == expected
+    assert ks_distance(b, a) == expected
 
 
 # assembled report
