@@ -51,8 +51,8 @@ from .renewal import (
     TEST_FUNCTIONS,
     TiltError,
     TiltedMeasure,
+    factorization_checks,
     make_tilted,
-    verify_product_measure,
 )
 from .constants import (
     ConstantError,
@@ -63,4 +63,4 @@ from .constants import (
     tail_constant_report,
 )
 
-__version__ = "0.14.1"
+__version__ = "0.15.0"

@@ -47,9 +47,10 @@ from .engine import (
 )
 from .model import ModelError, VectorModel, make_model, mean_se, verdict
 from .moments import generation_moment_bound
-from .renewal import _MAX_CONVOLUTION, TiltError, _factorization_checks
-from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_KS_THRESHOLD,
-                    DEFAULT_QUANTILE_BAND, TailError, ks_distance, tail_report)
+from .renewal import (_MAX_CONVOLUTION, TEST_FUNCTIONS, TiltError,
+                      factorization_checks)
+from .tails import (DEFAULT_BOOTSTRAP, DEFAULT_QUANTILE_BAND, KS_THRESHOLD,
+                    TailError, ks_distance, tail_report)
 
 SCHEMA = "branchtail-report-v3"
 OUTPUT_DIR_ENV = "BRANCHTAIL_OUTPUT_DIR"
@@ -64,20 +65,15 @@ DEFAULTS = {
     "budget": DEFAULT_BUDGET,
     "output_dir": None,
     "truncation_beta": 0.5,
-    "solver": {
-        "tol": 1e-12,
-    },
     "tails": {
         "k": None,
         "alpha": None,
         "quantile_band": list(DEFAULT_QUANTILE_BAND),
         "bootstrap": DEFAULT_BOOTSTRAP,
-        "ks_threshold": DEFAULT_KS_THRESHOLD,
     },
     "verify": {
         "renewal_n": [1, 2, 3],
         "renewal_reps": 20_000,
-        "indicator_threshold": 0.0,
         "moment_depths": [0, 1, 2, 3, 4, 5],
         "moment_betas": [0.5, 1.0, 1.5, 2.0],
         "moment_reps": 20_000,
@@ -100,7 +96,6 @@ _MAX_ORDER = 2 ** 10
 # Ranges, judged once the types hold; every float must also be finite.
 _RANGES = (
     ("seed", lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)"),
-    ("solver.tol", lambda v: v > 0, "> 0"),
     ("truncation_beta", lambda v: 0 < v <= _MAX_ORDER, "in (0, 2^10]"),
     ("tails.bootstrap", lambda v: v == 0 or v >= 2, "0 or >= 2"),
     ("verify.renewal_reps", lambda v: v >= 2, ">= 2"),
@@ -142,6 +137,10 @@ _Loader.add_implicit_resolver(
     re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
                r"[eE][-+]?[0-9]+$"),
     list("-+0123456789."))
+# PyYAML's constructors raise these, not a YAMLError, on a tagged scalar
+# they cannot build (!!float ., !!int x, !!timestamp x); UnicodeError,
+# text that is not UTF-8, is a ValueError too
+_BUILD_ERRORS = (ArithmeticError, AttributeError, LookupError, ValueError)
 
 
 def _merge_into(base, incoming, path=""):
@@ -149,6 +148,9 @@ def _merge_into(base, incoming, path=""):
     for key, value in incoming.items():
         here = f"{path}{key}"
         if key not in base:
+            while isinstance(value, dict) and value:  # name its first leaf
+                key, value = next(iter(value.items()))
+                here += f".{key}"
             raise ConfigError(f"unknown config key: {here}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             _merge_into(base[key], value, here + ".")
@@ -175,8 +177,8 @@ def _apply_set(config, assignment):
                  if type(key) is int and str(key) == leaf), leaf)
     try:
         target[leaf] = yaml.load(raw, Loader=_Loader)
-    except UnicodeError as err:  # a lone surrogate: argv bytes not UTF-8
-        raise ConfigError(f"--set {dotted}: {err}") from None
+    except _BUILD_ERRORS as err:  # or a lone surrogate: argv not UTF-8
+        raise ConfigError(f"--set {dotted}: {raw!r}: {err}") from None
 
 
 def load_config(path, sets=(), **flag_overrides):
@@ -188,6 +190,8 @@ def load_config(path, sets=(), **flag_overrides):
                 loaded = yaml.load(handle, Loader=_Loader)
         except UnicodeError as err:
             raise ConfigError(f"cannot decode {path}: {err}") from None
+        except _BUILD_ERRORS as err:
+            raise ConfigError(f"cannot read {path}: {err}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -296,7 +300,7 @@ def _jsonable(value):
 
 def _solve_and_check(config, model):
     """Root and theorem-condition report; raises SolverError without a root."""
-    sol = solve_alpha(model, tol=config["solver"]["tol"])
+    sol = solve_alpha(model)
     return sol, check_conditions(model, sol, config["kind"])
 
 
@@ -402,7 +406,7 @@ def cmd_analyze(config, batch_path):
 
     constant_payload = {"available": False, "reason": None}
     try:
-        sol = solve_alpha(model, tol=config["solver"]["tol"])
+        sol = solve_alpha(model)
         constant = tail_constant_report(
             model, sol, batch.kind, r_batch=batch,
             rng=np.random.default_rng(constant_seed))
@@ -425,12 +429,11 @@ def _verify_renewal(config, model, rng, capped):
     """Factorization checks on one forest, up to the first n left out."""
     checks, ns = [], set()  # ns stays empty unless alpha is solved
     try:
-        alpha = solve_alpha(model, tol=config["solver"]["tol"]).alpha
+        alpha = solve_alpha(model).alpha
         ns = set(config["verify"]["renewal_n"])
-        for report in _factorization_checks(
-                model, alpha, ns, ("constant-1", "identity-u", "indicator"),
-                config["verify"]["renewal_reps"], rng,
-                config["verify"]["indicator_threshold"], config["budget"]):
+        for report in factorization_checks(
+                model, alpha, ns, TEST_FUNCTIONS,
+                config["verify"]["renewal_reps"], rng, config["budget"]):
             checks.append(dict(report.to_dict(),
                                check="measure-factorization"))
     except _WidthError as err:
@@ -495,14 +498,13 @@ def _verify_iteration(config, model, rng, capped):
     except _WidthError as err:
         return [_over_cap(capped, err, "iteration-convergence", n=n)]
     ks = ks_distance(first, second)
-    threshold = config["tails"]["ks_threshold"]
     return [{
         "check": "iteration-convergence",
         "n": n,
         "starts": [float(s) for s in starts],
         "ks_distance": ks,
-        "threshold": threshold,
-        "holds": verdict(ks, threshold),
+        "threshold": KS_THRESHOLD,
+        "holds": verdict(ks, KS_THRESHOLD),
     }]
 
 

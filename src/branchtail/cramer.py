@@ -19,21 +19,12 @@ from .model import _moment_function, _moment_function_deriv, moment_function
 from .engine import recursion
 from .moments import contractive
 
-__all__ = [
-    "SolverError",
-    "NoSignChangeError",
-    "ContractionRootError",
-    "CramerSolution",
-    "ConditionEntry",
-    "ConditionReport",
-    "solve_alpha",
-    "check_conditions",
-]
-
 # alpha is sought on [_FLOOR, _CEILING]; every count and weight family here
 # has E[C^theta] finite for all theta > 0, so the ends bound only the search
 _FLOOR = 2.0 ** -6
 _CEILING = 2.0 ** 10
+# the largest residual |moment_function(alpha) - 1| of a returned root
+_TOL = 1e-12
 # the canonical last step scans the doubles with residual at most _ZONE,
 # up to _ZONE_STEPS of them each way from where the bisection stopped; the
 # zone has holes, so only more than _ZONE_GAP doubles outside it end a scan
@@ -100,15 +91,14 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def solve_alpha(model, tol=1e-12):
+def solve_alpha(model):
     """Locate alpha with moment_function(model, alpha) = 1, derivative > 0.
 
     alpha is a function of the model alone.  The moment function
     E[N] E[C^theta] is log-convex (Hoelder), so it crosses 1 at most twice
     and rises through 1 only past its least point.  The solver bisects that
     rise between the least point and _CEILING down to adjacent doubles,
-    then returns the canonical double of ``_least_residual``.  ``tol`` is
-    the largest residual |moment_function(alpha) - 1| accepted.
+    then returns the canonical double of ``_least_residual``.
 
     Raises
     ------
@@ -117,10 +107,8 @@ def solve_alpha(model, tol=1e-12):
     ContractionRootError
         It crosses 1 only while falling; the error carries that root.
     SolverError
-        Invalid tol, or the best double's residual exceeds tol.
+        The best double's residual exceeds _TOL.
     """
-    if tol <= 0:
-        raise SolverError("tol must be positive")
 
     def f(theta):
         return _moment_function(model, theta) - 1.0
@@ -140,9 +128,9 @@ def solve_alpha(model, tol=1e-12):
             f"{_CEILING:g}]: its least value there is {f_least + 1.0:.6g}, "
             f"at theta = {least:.6g}")
     residual, root = _least_residual(f, root)
-    if residual > tol:
+    if residual > _TOL:
         raise SolverError(
-            f"no double within tol of the root: residual {residual:.3g} "
+            f"no double within {_TOL:g} of the root: residual {residual:.3g} "
             f"at alpha = {root!r}")
     mu = df(root)
     if mu <= 0:

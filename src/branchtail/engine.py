@@ -431,11 +431,14 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
 
 
 def truncation_bound(model, beta, depth, rng=None):
-    """Certified bound on the beta-moment of the depth-truncation error.
+    """Bound on the beta-moment of the depth-truncation error.
 
     It bounds the linear remainder sum over |v| > depth of Pi_v Q_v.  The
     max and max-plus values gain at most that remainder when the tree is
-    grown past ``depth``, so the bound holds for them too.
+    grown past ``depth``, so the bound holds for them too.  It is
+    certified for beta <= 1, and for beta > 1 only when N <= 1 or N and C
+    are deterministic; otherwise K_beta rests on a Monte Carlo
+    ``sum_moment`` from ``rng``, whose error the bound does not carry.
 
     The remainder is the tail of the generation sums W_n, n > depth, so
     the bound is ``generation_moment_bound`` at n = depth + 1 times the

@@ -27,19 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ModelError",
-    "MomentValue",
-    "VectorModel",
-    "make_model",
-    "moment_function",
-    "moment_function_deriv",
-    "sum_moment",
-    "dominated",
-    "mean_se",
-    "fold_by_owner",
-]
-
 
 class ModelError(ValueError):
     """Invalid family name, invalid parameter, or unusable model."""

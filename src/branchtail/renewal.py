@@ -15,7 +15,6 @@ plateau constant and the tilted mean both stand on this identity.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -94,7 +93,10 @@ def make_tilted(model, alpha):
     )
 
 
-TEST_FUNCTIONS = ("constant-1", "identity-u", "indicator", "exp-bounded")
+# the test functions g of the factorization check, by name
+_G_FNS = {"constant-1": np.ones_like, "identity-u": lambda u: u,
+          "indicator": lambda u: (u <= 0.0).astype(float)}
+TEST_FUNCTIONS = tuple(_G_FNS)
 
 
 @dataclass(frozen=True)
@@ -131,57 +133,44 @@ class DualEstimateReport:
         }
 
 
-def verify_product_measure(model, alpha, n, g, reps, rng, threshold=0.0,
-                           budget=DEFAULT_BUDGET):
+def factorization_checks(model, alpha, ns, gs, reps, rng,
+                         budget=DEFAULT_BUDGET):
     """Check the n-fold factorization of the weighted generation measure.
 
     Tree side: Monte Carlo mean over ``reps`` independent trees of
     sum_i Pi_i^alpha g(log Pi_i) over each tree's generation-n path
-    products Pi_i; the trees are grown as one forest drawn from the
-    shared ``rng`` (``engine.generation_frontier``), whose generation n
-    is the tree side's input.  A tree over ``budget`` raises TiltError,
-    so every tree counts.  Convolution side:
-    E[g(U_1 + ... + U_n)] with iid tilted increments, in closed form
-    for the constant function (the n-th power of the total mass) and by
-    Monte Carlo otherwise, drawn after the forest.
+    products Pi_i; the trees are one forest grown from the shared ``rng``
+    to the largest n (``engine.generation_frontier``).  A tree over
+    ``budget`` raises TiltError, so every tree counts.  Convolution side:
+    E[g(U_1 + ... + U_n)] with iid tilted increments, in closed form for
+    the constant function (the n-th power of the total mass) and by Monte
+    Carlo otherwise, from the prefix sums of one block of steps drawn
+    after the forest.  A forest that fails at some generation yields the
+    reports of the n before it, then raises.
 
     Parameters
     ----------
     model : VectorModel
     alpha : float
         Root exponent (the tilt must normalize).
-    n : int
-        Generation, 1 to 4 (tree cost grows geometrically).
-    g : str
-        One of TEST_FUNCTIONS; ``threshold`` configures the indicator.
+    ns : collection of int
+        Generations, each 1 to 4 (tree cost grows geometrically).
+    gs : collection of str
+        Names in TEST_FUNCTIONS; ``indicator`` is 1{u <= 0}.
     reps : int
         Replications per side.
     rng : numpy Generator
 
-    Returns
-    -------
+    Yields
+    ------
     DualEstimateReport
-    """
-    return next(_factorization_checks(model, alpha, [n], [g], reps, rng,
-                                      threshold, budget))
-
-
-def _factorization_checks(model, alpha, ns, gs, reps, rng, threshold=0.0,
-                          budget=DEFAULT_BUDGET):
-    """``verify_product_measure`` for every n in ``ns``, ascending, and g
-    in ``gs``, on one forest grown to the largest n and, unless every g is
-    constant-1, one block of tilted steps whose prefix sums give every S_n.
-    A forest that fails at some generation yields the reports of the n
-    before it, then raises.
+        One for each n in ``ns``, ascending, and each g in ``gs``.
     """
     if not set(ns) <= set(range(1, _MAX_CONVOLUTION + 1)):
         raise TiltError(f"n must be in 1..{_MAX_CONVOLUTION}")
     if reps < 2:
         raise TiltError("reps must be >= 2")
-    g_fns = {"constant-1": np.ones_like, "identity-u": lambda u: u,
-             "indicator": lambda u: (u <= threshold).astype(float),
-             "exp-bounded": lambda u: np.exp(-np.abs(u))}
-    if not set(gs) <= set(g_fns):
+    if not set(gs) <= set(_G_FNS):
         raise TiltError(f"unknown test function in {list(gs)}; "
                         f"pick from {TEST_FUNCTIONS}")
     tilted = make_tilted(model, alpha)
@@ -203,13 +192,13 @@ def _factorization_checks(model, alpha, ns, gs, reps, rng, threshold=0.0,
         heavy = dominated(masses)
         for g in gs:
             lhs, lhs_se = mean_se(fold_by_owner(
-                np.add, owner, powered * g_fns[g](np.log(pi)), reps))
+                np.add, owner, powered * _G_FNS[g](np.log(pi)), reps))
             rhs, rhs_se, rhs_method = tilted.total_mass**n, 0.0, "closed-form"
             if g != "constant-1":
-                rhs, rhs_se = mean_se(g_fns[g](walks[:, n - 1]))
+                rhs, rhs_se = mean_se(_G_FNS[g](walks[:, n - 1]))
                 rhs_method = "monte-carlo"
             agree = verdict(abs(lhs - rhs), 0.0, math.hypot(lhs_se, rhs_se))
-            g_name = f"indicator(u<={threshold:g})" if g == "indicator" else g
+            g_name = "indicator(u<=0)" if g == "indicator" else g
             yield DualEstimateReport(n, g_name, lhs, lhs_se, rhs, rhs_se,
                                      agree, heavy, rhs_method)
     if failure is not None:

@@ -28,7 +28,8 @@ import numpy as np
 
 DEFAULT_QUANTILE_BAND = (0.99, 0.9995)
 DEFAULT_BOOTSTRAP = 200
-DEFAULT_KS_THRESHOLD = 0.02
+# the KS distance below which verify judges two samples to share a law
+KS_THRESHOLD = 0.02
 _MIN_PLATEAU_POINTS = 50
 _SWEEP_POINTS = 12
 _SWEEP_DRIFT_THRESHOLD = 0.5

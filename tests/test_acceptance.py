@@ -28,7 +28,7 @@ from branchtail.engine import (DEFAULT_BUDGET, _iterate_forest, run_batch,
                                truncation_bound)
 from branchtail.model import make_model, moment_function
 from branchtail.moments import generation_moment_bound
-from branchtail.renewal import verify_product_measure
+from branchtail.renewal import factorization_checks
 from branchtail.tails import default_tail_count, hill_estimator, plateau_constant
 
 from conftest import (assert_loaders_agree, model_b_spec, uniform_model_spec,
@@ -189,8 +189,8 @@ def test_07_renewal_product_identity(model_a, sol_a):
     rng = np.random.default_rng(113)
     for n in (1, 2, 3):
         for g in ("constant-1", "identity-u", "indicator"):
-            report = verify_product_measure(model_a, sol_a.alpha, n, g,
-                                            10_000, rng)
+            (report,) = factorization_checks(model_a, sol_a.alpha, [n], [g],
+                                             10_000, rng)
             assert report.agree, f"n={n} g={g}"
             if n == 1 and g == "constant-1":
                 assert abs(report.rhs - 1.0) <= 1e-10

@@ -152,6 +152,39 @@ def test_a_config_setting_the_removed_epsilon_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, leaves, named", [
+    ("solver", {"tol": 1e-9}, "solver.tol"),
+    ("solver", None, "solver"),  # a bare section
+    ("tails", {"ks_threshold": 0.05}, "tails.ks_threshold"),
+    ("verify", {"indicator_threshold": 0.1}, "verify.indicator_threshold"),
+], ids=["tol", "bare-solver", "ks-threshold", "indicator-threshold"])
+def test_a_config_setting_a_leaf_removed_in_0_15_exits_one(
+        tmp_path, capsys, section, leaves, named):
+    out = str(tmp_path / "out")
+    argvs = [["--config", write_config(tmp_path, model_b_spec(),
+                                       **{section: leaves}, output_dir=out)]]
+    if leaves is not None:
+        (leaf, value), = leaves.items()
+        plain = write_config(tmp_path, model_b_spec(), name="plain.yaml",
+                             output_dir=out)
+        argvs.append(["--config", plain, "--set", f"{section}.{leaf}={value}"])
+    for argv in argvs:
+        assert main(argv + ["solve-alpha"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: unknown config key: {named}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_with_a_tag_yaml_cannot_build_exits_one(tmp_path,
+                                                               capsys):
+    path = tmp_path / "tagged.yaml"
+    path.write_text("model: !!float .\n")
+    assert main(["--config", str(path), "solve-alpha"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_heavy_weights_solve_and_simulate_without_force(tmp_path):
     # a few draws dominate any sample of sum C here; the weight-moment
     # condition is a closed form and passes
@@ -421,6 +454,7 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "truncation_beta=0", "simulate", "--force"], None),
     (["--depth", "exact", "--set", "truncation_beta=-2", "simulate",
       "--force"], None),
+    # removed in 0.15.0: thresholds that nothing set
     (["--set", "tails.ks_threshold=.nan", "verify"], None),
     (["--set", "solver.tol=.nan", "solve-alpha"], None),
     (["--set", "solver.tol=.inf", "solve-alpha"], None),
@@ -468,6 +502,12 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
     (["--set", "model.c_scale=1.0e+300", "solve-alpha"], None),
     # argv bytes that are not UTF-8: libyaml cannot encode the surrogate
     (["--set", "seed=\udcff", "solve-alpha"], None),
+    # explicit tags PyYAML's constructors cannot build; each raised a
+    # plain Python error, not a YAMLError
+    (["--set", "tails.alpha=!!float", "solve-alpha"], None),
+    (["--set", "tails.alpha=!!timestamp", "solve-alpha"], None),
+    (["--set", "tails.alpha=!!float .", "solve-alpha"], None),
+    (["--set", "tails.alpha=!!int x", "solve-alpha"], None),
     # argparse's usage errors, which once exited 2
     (["--seed", "abc", "simulate"], None),
     (["--reps", "1e5", "simulate"], None),
@@ -497,6 +537,8 @@ def test_analyze_unreadable_batch_exits_one(tmp_path, capsys):
         "model-mu-nan", "model-scale-nan", "model-unknown-param",
         "model-support-list", "model-support-fraction", "model-coupling",
         "model-moment-overflow", "model-scale-overflow", "set-not-utf8",
+        "tag-float-empty", "tag-timestamp-empty", "tag-float-dot",
+        "tag-int-word",
         "seed-word", "reps-float", "workers-word",
         "value-row", "metadata-row", "not-utf8", "value-nan",
         "value-dropped", "kind-row", "level-max-huge", "iterate-kind-rows"])
@@ -565,11 +607,12 @@ def test_set_reaches_an_integer_key(tmp_path, capsys):
 def test_yaml_floats_without_a_dot(tmp_path, capsys):
     path = write_config(tmp_path, model_b_spec(0.9),
                         output_dir=str(tmp_path / "out"))
-    assert main(["--config", path, "--set", "solver.tol=1e-12",
+    assert main(["--config", path, "--set", "tails.alpha=1e-12",
                  "solve-alpha"]) == 0
-    assert load_config(path, sets=["solver.tol=1e-12"])["solver"]["tol"] == 1e-12
+    loaded = load_config(path, sets=["tails.alpha=1e-12"])
+    assert loaded["tails"]["alpha"] == 1e-12
     capsys.readouterr()
-    assert main(["--config", path, "--set", "solver.tol=abc",
+    assert main(["--config", path, "--set", "tails.alpha=abc",
                  "solve-alpha"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
@@ -855,12 +898,12 @@ def test_one_forest_reports_equal_single_checks(model_b09, n):
     # each single check grows its own forest from a fresh generator; the
     # battery reads all three g from one forest and one block of walks
     alpha = solve_alpha(model_b09).alpha
-    gs = ("constant-1", "identity-u", "indicator")
-    battery = list(renewal._factorization_checks(
+    gs = renewal.TEST_FUNCTIONS
+    battery = list(renewal.factorization_checks(
         model_b09, alpha, [n], gs, 2000, np.random.default_rng(11)))
     assert battery == [
-        renewal.verify_product_measure(model_b09, alpha, n, g, 2000,
-                                       np.random.default_rng(11))
+        next(renewal.factorization_checks(model_b09, alpha, [n], [g], 2000,
+                                          np.random.default_rng(11)))
         for g in gs]
 
 
@@ -985,7 +1028,7 @@ def test_estimators_draw_from_independent_streams(analyzed, tmp_path,
     for name in ("tail_report", "tail_constant_report",
                  "generation_moment_bound"):
         spy(name)
-    spy("_factorization_checks", rng_at=5)
+    spy("factorization_checks", rng_at=5)
     _, out = analyzed
     path = write_config(tmp_path, model_b_spec(0.9), seed=13,
                         output_dir=str(tmp_path / "out"))
@@ -994,7 +1037,7 @@ def test_estimators_draw_from_independent_streams(analyzed, tmp_path,
     assert seen["tail_report"] != seen["tail_constant_report"]
     assert main(["--config", quick_verify_config(tmp_path),
                  "verify"]) in (0, 3)
-    assert seen["_factorization_checks"] != seen["generation_moment_bound"]
+    assert seen["factorization_checks"] != seen["generation_moment_bound"]
 
 
 def test_forest_w_n_has_the_martingale_law(model_a):

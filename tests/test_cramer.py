@@ -26,7 +26,7 @@ def det(value):
 
 
 def test_solve_model_a(model_a):
-    sol = solve_alpha(model_a, tol=1e-12)
+    sol = solve_alpha(model_a)
     assert abs(sol.alpha - 2.0) <= 1e-8
     assert sol.residual <= 1e-12
     assert sol.mu == pytest.approx(MU_A, rel=1e-9)
@@ -53,7 +53,7 @@ def test_solve_uniform_model_reports_contraction_root(uniform_model):
     # all weights sit below 1, so the moment function decreases through its
     # root; the solver must locate it precisely and then refuse it
     with pytest.raises(ContractionRootError) as err:
-        solve_alpha(uniform_model, tol=1e-12)
+        solve_alpha(uniform_model)
     assert abs(err.value.alpha - ALPHA_UNIFORM) <= 1e-8
     assert err.value.mu < 0
 

@@ -8,8 +8,8 @@ from branchtail.model import make_model
 from branchtail.renewal import (
     TEST_FUNCTIONS,
     TiltError,
+    factorization_checks,
     make_tilted,
-    verify_product_measure,
 )
 
 from conftest import MU_A, MU_B, model_a_spec
@@ -92,8 +92,8 @@ def test_uniform_family_tilt_mass_and_sampler():
 
 
 def test_duality_constant_function_closed_form(model_b):
-    report = verify_product_measure(model_b, 1.0, 1, "constant-1", 5_000,
-                                    np.random.default_rng(2))
+    (report,) = factorization_checks(model_b, 1.0, [1], ["constant-1"],
+                                     5_000, np.random.default_rng(2))
     assert report.rhs == pytest.approx(1.0, abs=1e-10)
     assert report.rhs_se == 0.0
     assert report.rhs_method == "closed-form"
@@ -102,8 +102,10 @@ def test_duality_constant_function_closed_form(model_b):
 
 def test_duality_identity_semigroup(model_b):
     rng = np.random.default_rng(3)
-    one = verify_product_measure(model_b, 1.0, 1, "identity-u", 40_000, rng)
-    two = verify_product_measure(model_b, 1.0, 2, "identity-u", 40_000, rng)
+    (one,) = factorization_checks(model_b, 1.0, [1], ["identity-u"], 40_000,
+                                  rng)
+    (two,) = factorization_checks(model_b, 1.0, [2], ["identity-u"], 40_000,
+                                  rng)
     assert one.agree and two.agree
     # mean of the n-fold convolution is n mu
     assert abs(one.lhs - MU_B) < 4 * one.lhs_se
@@ -112,34 +114,34 @@ def test_duality_identity_semigroup(model_b):
 
 def test_duality_indicator_and_exp(model_a):
     rng = np.random.default_rng(5)
-    ind = verify_product_measure(model_a, 2.0, 2, "indicator", 30_000, rng,
-                                 threshold=0.1)
+    (ind,) = factorization_checks(model_a, 2.0, [2], ["indicator"], 30_000,
+                                  rng)
     assert ind.agree
-    assert "0.1" in ind.g_name
-    exp = verify_product_measure(model_a, 2.0, 1, "exp-bounded", 30_000, rng)
-    assert exp.agree
-    assert 0.0 < exp.lhs < 1.0 + 1e-12
+    assert ind.g_name == "indicator(u<=0)"
 
 
 def test_duality_validation(model_b):
     rng = np.random.default_rng(0)
     with pytest.raises(TiltError, match="n must be in"):
-        verify_product_measure(model_b, 1.0, 0, "constant-1", 100, rng)
+        list(factorization_checks(model_b, 1.0, [0], ["constant-1"], 100, rng))
     with pytest.raises(TiltError, match="n must be in"):
-        verify_product_measure(model_b, 1.0, 5, "constant-1", 100, rng)
+        list(factorization_checks(model_b, 1.0, [5], ["constant-1"], 100, rng))
     with pytest.raises(TiltError, match="reps"):
-        verify_product_measure(model_b, 1.0, 1, "constant-1", 1, rng)
+        list(factorization_checks(model_b, 1.0, [1], ["constant-1"], 1, rng))
     with pytest.raises(TiltError, match="test function"):
-        verify_product_measure(model_b, 1.0, 1, "sine", 100, rng)
+        list(factorization_checks(model_b, 1.0, [1], ["sine"], 100, rng))
+    # removed in 0.15.0: no command ran it
+    with pytest.raises(TiltError, match="test function"):
+        list(factorization_checks(model_b, 1.0, [1], ["exp-bounded"], 100,
+                                  rng))
 
 
 def test_report_serializes(model_b):
-    report = verify_product_measure(model_b, 1.0, 1, "identity-u", 2_000,
-                                    np.random.default_rng(9))
+    (report,) = factorization_checks(model_b, 1.0, [1], ["identity-u"],
+                                     2_000, np.random.default_rng(9))
     decoded = json.loads(json.dumps(report.to_dict()))
     assert decoded["n"] == 1
     assert decoded["g"] == "identity-u"
     assert isinstance(decoded["agree"], bool)
     assert isinstance(decoded["heavy_flag"], bool)
-    assert set(TEST_FUNCTIONS) == {
-        "constant-1", "identity-u", "indicator", "exp-bounded"}
+    assert TEST_FUNCTIONS == ("constant-1", "identity-u", "indicator")

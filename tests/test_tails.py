@@ -10,7 +10,7 @@ from scipy import stats as sstats
 from branchtail import tails
 from branchtail.engine import run_batch
 from branchtail.tails import (
-    DEFAULT_KS_THRESHOLD,
+    KS_THRESHOLD,
     TailError,
     default_survival_grid,
     default_tail_count,
@@ -247,13 +247,13 @@ def test_plateau_ci_brackets_point_estimate(alpha, seed):
 def test_stability_same_depth_law_passes(model_b09):
     low = run_batch(model_b09, "linear", 25, 20_000, seed=1)
     high = run_batch(model_b09, "linear", 30, 20_000, seed=2)
-    assert ks_distance(low.values, high.values) <= DEFAULT_KS_THRESHOLD
+    assert ks_distance(low.values, high.values) <= KS_THRESHOLD
 
 
 def test_stability_flags_unconverged_depth(model_b09):
     shallow = run_batch(model_b09, "linear", 2, 20_000, seed=3)
     deep = run_batch(model_b09, "linear", 30, 20_000, seed=4)
-    assert ks_distance(shallow.values, deep.values) > DEFAULT_KS_THRESHOLD
+    assert ks_distance(shallow.values, deep.values) > KS_THRESHOLD
 
 
 def ks_samples():
