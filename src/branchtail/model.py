@@ -148,7 +148,8 @@ class GeometricCount:
 
     def sample(self, rng, size):
         if size is None:
-            return np.int64(rng.geometric(self.p) - 1)
+            n = rng.geometric(self.p) - 1
+            return _SMALL_COUNTS[n] if n < 32 else np.int64(n)
         return rng.geometric(self.p, size) - 1
 
     def mean(self):
@@ -174,6 +175,8 @@ class GeometricCount:
 # numpy's poisson refuses a larger mean: its draws would overflow int64
 _POISSON_MAX_MEAN = float(np.iinfo(np.int64).max
                           - 10 * math.sqrt(np.iinfo(np.int64).max))
+# a scalar draw returns these int64 scalars, which np.int64(n) would build
+_SMALL_COUNTS = tuple(np.arange(32, dtype=np.int64))
 
 
 class PoissonCount:
@@ -189,7 +192,8 @@ class PoissonCount:
 
     def sample(self, rng, size):
         if size is None:
-            return np.int64(rng.poisson(self.lam))
+            n = rng.poisson(self.lam)
+            return _SMALL_COUNTS[n] if n < 32 else np.int64(n)
         return rng.poisson(self.lam, size)
 
     def mean(self):

@@ -761,6 +761,92 @@ def test_a_scanner_that_warns_like_numpy_1_is_refused_quietly(tmp_path,
     assert caught == []
 
 
+# the integer scan of value rows: each row reads as float() of its text
+
+
+def _rows_read(path, rows):
+    """The values read from a batch CSV whose value rows are ``rows``."""
+    write_batch_csv(_value_batch(np.zeros(len(rows))), path)
+    head, _ = _value_rows(path)
+    path.write_text(head + "\n".join(rows) + "\n")
+    return read_batch_csv(path).values
+
+
+def _float_bits(rows):
+    return np.array([float(row) for row in rows]).tobytes()
+
+
+@pytest.mark.parametrize("low, high", [(1e-4, 1e16), (0.0, 2.0 ** 54)],
+                         ids=["repr-decimals", "to-2^54"])
+def test_value_rows_read_as_float_of_their_text(tmp_path, low, high):
+    # uniform bit patterns weigh every binade between the bounds alike
+    bits = np.random.default_rng(36).integers(
+        np.float64(low).view(np.int64), np.float64(high).view(np.int64),
+        10 ** 5, endpoint=True)
+    rows = list(map(repr, bits.view(np.float64).tolist()))
+    assert _rows_read(tmp_path / "b.csv", rows).tobytes() == _float_bits(rows)
+
+
+_EDGE_ROWS = [
+    "0.0", "1.0", "0.5", "00.25",
+    # 2^53 + 1 and + 3 are midpoints: a tie goes to the even neighbour
+    "9007199254740993.0", "9007199254740995.0", "9007199254740999.0",
+    "9007199254740991.0", "9007199254740992.0", "9007199254740994.0",
+    "9007199254740991.5", "9007199254740992.5", "4503599627370495.5",
+    # below 2^54, at it and past 19 digits
+    "18014398509481983.0", "18014398509481984.0", "18014398509481984.5",
+    "999999999999999999.9",
+    # below a power of two, where the ulp below is half as wide
+    "0.999999999999999938", "1.999999999999999876", "0.499999999999999969",
+    # 18 and 19 fraction digits
+    "0.123456789012345678", "1.000000000000000001", "9.999999999999999999",
+    "0.000000000000000001", "0.1234567890123456789",
+    "0.0012345678901234567", "0.0000000000000000001",
+    # leading zeros and 17 significant digits
+    "0.00012345678901234567", "0.012345678901234567", "0.0001",
+    "0.10000000000000001", "1.2345678901234567", "12345678.901234567",
+    "1234567890123456.7", "5.0000000000000009", "2.2250738585072014",
+    # digits past 2^64
+    "99.999999999999999999", "12345678901234567890.5",
+    "99999999999999999999999.0",
+]
+
+
+def test_edge_rows_read_as_float_of_their_text(tmp_path):
+    read = _rows_read(tmp_path / "b.csv", _EDGE_ROWS)
+    assert read.tobytes() == _float_bits(_EDGE_ROWS)
+
+
+_MIXED_ROWS = ["1.5", "1e-05", "0.1", "1.5e+16", ".5", "1.", "2.5", "7",
+               "9007199254740993.0", "0.0012345678901234567", "1234.5678",
+               "0.999999999999999938", "3.0"]
+
+
+@pytest.mark.parametrize("block", [*range(1, 41), engine._READ_BLOCK_BYTES])
+def test_mixed_rows_read_as_float_of_their_text(tmp_path, monkeypatch, block):
+    # a block of digits and dots alone, or one holding other rows
+    monkeypatch.setattr(engine, "_READ_BLOCK_BYTES", block)
+    read = _rows_read(tmp_path / "b.csv", _MIXED_ROWS)
+    assert read.tobytes() == _float_bits(_MIXED_ROWS)
+
+
+def test_repr_rows_from_a_hundredth_to_9e15_skip_the_float_scan(
+        tmp_path, monkeypatch):
+    values = np.exp(np.random.default_rng(11).uniform(
+        math.log(0.01), math.log(9e15), 10 ** 5))
+    # the edge rows up to 4503599627370495.5 and short rows below 2^-10
+    rows = list(map(repr, values.tolist())) + _EDGE_ROWS[:13] + [
+        "0.0001", "0.000123", "0.000000000000000001"]
+    scan = np.fromstring
+
+    def integer_scan_only(text, dtype=float, sep=""):
+        assert dtype == np.uint64, f"float scan of {text[:80]!r}"
+        return scan(text, dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", integer_scan_only)
+    assert _rows_read(tmp_path / "b.csv", rows).tobytes() == _float_bits(rows)
+
+
 def test_summary_is_json_ready(model_b09):
     batch = run_batch(model_b09, "linear", None, 500, seed=6)
     info = summary(batch)

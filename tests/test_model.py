@@ -185,6 +185,9 @@ def test_a_child_total_past_2_63_does_not_wrap_around(count, size):
 _ONE_DRAW_COUNTS = [det(1), {"family": "two-point", "values": {1: 0.6, 3: 0.4}},
                     {"family": "geometric", "p": 0.35},
                     {"family": "poisson", "mean": 1.7}]
+# a geometric law whose scalar draws pass the table of small counts that
+# model.GeometricCount and model.PoissonCount return without building one
+_LONG_DRAW_COUNTS = [{"family": "geometric", "p": 0.08}]
 _ONE_DRAW_WEIGHTS = [det(0.8), {"family": "lognormal", "mu": -0.2, "sigma2": 0.6},
                      {"family": "uniform", "b": 1.3},
                      {"family": "beta-scaled", "a": 2.0, "b": 3.0, "scale": 1.5}]
@@ -199,8 +202,9 @@ def _philox_state(rng):
 
 @pytest.mark.parametrize("weight", _ONE_DRAW_WEIGHTS,
                          ids=[w["family"] for w in _ONE_DRAW_WEIGHTS])
-@pytest.mark.parametrize("count", _ONE_DRAW_COUNTS,
-                         ids=[c["family"] for c in _ONE_DRAW_COUNTS])
+@pytest.mark.parametrize("count", _ONE_DRAW_COUNTS + _LONG_DRAW_COUNTS,
+                         ids=[c["family"] for c in _ONE_DRAW_COUNTS]
+                         + ["geometric-past-the-table"])
 def test_a_draw_without_size_reads_the_words_of_size_one(count, weight):
     m = make_model({"n": count, "c": weight, "q": weight, "c_scale": 0.7})
     born = set()
@@ -228,6 +232,18 @@ def test_a_draw_without_size_reads_the_words_of_size_one(count, weight):
     # a random count gives none, one and several children over the seeds
     assert born == ({1} if count["family"] == "deterministic" else
                     {1, 2} if count["family"] == "two-point" else {0, 1, 2})
+
+
+def test_a_poisson_count_past_the_table_is_the_draw_of_size_one():
+    # no seed of a mean this large draws the 0 and 1 the test above needs
+    law = make_model({"n": {"family": "poisson", "mean": 500.0},
+                      "c": det(0.5), "q": det(1.0)}).n_law
+    for seed in range(20):
+        pair = [np.random.Generator(np.random.Philox(key=[seed, 3]))
+                for _ in range(2)]
+        one, array = law.sample(pair[0], None), law.sample(pair[1], 1)
+        assert type(one) is np.int64 and one.size == 1
+        assert one == array[0] and one >= 32
 
 
 # weights scaled past the double range: c_scale^theta underflows while
