@@ -63,4 +63,4 @@ from .constants import (
     tail_constant_report,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

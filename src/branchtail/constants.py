@@ -10,7 +10,8 @@ the whole pipeline; the report type collects all of them side by side.
 
 Component expectations are expanded under the iid-independent coupling:
 the toll is independent of the offspring vector, and pair terms reduce
-to E[N(N-1)/2] times the squared weight mean.
+to E[C(N, 2)], the count law's ``binomial_moment(2)``, times the squared
+weight mean.
 """
 
 import math
@@ -43,7 +44,7 @@ def _alpha_integer(alpha):
 
 def _pair_moment(model):
     """E[sum over unordered child pairs of C_i C_j]."""
-    return model.n_law.pair_mean() * model.c_moment(1.0) ** 2
+    return model.n_law.binomial_moment(2) * model.c_moment(1.0) ** 2
 
 
 def tail_constant_closed_form(model, alpha, kind):
@@ -159,7 +160,7 @@ def tail_constant_mc(model, sol, kind, r_batch, reps=_MIN_REPS, rng=None,
     return MomentValue(value, "monte-carlo", se, suspect=suspect)
 
 
-def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
+def tail_constant_bounds(model, sol, kind, r_batch=None):
     """One-sided bounds on H from component moments.
 
     The bounds compare the H integrand, E[R^alpha - sum_i (C_i R_i)^alpha]
@@ -189,7 +190,7 @@ def tail_constant_bounds(model, sol, kind, r_batch=None, rng=None):
         if (alpha > 1.0 and _alpha_integer(alpha) is None
                 and r_batch is not None):
             r_values = getattr(r_batch, "values", r_batch)
-            upper = (_sum_interpolation_bound(model, alpha, r_values, rng)
+            upper = (_sum_interpolation_bound(model, alpha, r_values)
                      / (alpha * mu))
     elif toll is np.maximum or alpha <= 1.0 + _INTEGER_TOL:
         upper = toll_bound
@@ -244,8 +245,7 @@ def tail_constant_report(model, sol, kind, r_batch=None, reps=_MIN_REPS,
         except ConstantError:
             # too few reps, or a batch too small or of another model
             mc = None
-    lower, upper = tail_constant_bounds(model, sol, kind, r_batch=r_batch,
-                                        rng=rng)
+    lower, upper = tail_constant_bounds(model, sol, kind, r_batch=r_batch)
     return TailConstantReport(
         kind=kind,
         alpha=sol.alpha,

@@ -430,22 +430,21 @@ def run_batch(model, kind, depth, reps, budget=DEFAULT_BUDGET, seed=0,
     )
 
 
-def truncation_bound(model, beta, depth, rng=None):
+def truncation_bound(model, beta, depth):
     """Bound on the beta-moment of the depth-truncation error.
 
     It bounds the linear remainder sum over |v| > depth of Pi_v Q_v.  The
     max and max-plus values gain at most that remainder when the tree is
-    grown past ``depth``, so the bound holds for them too.  It is
-    certified for beta <= 1, and for beta > 1 only when N <= 1 or N and C
-    are deterministic; otherwise K_beta rests on a Monte Carlo
-    ``sum_moment`` from ``rng``, whose error the bound does not carry.
+    grown past ``depth``, so the bound holds for them too.  It draws
+    nothing: for beta > 1, K_beta takes every E[(sum C)^x] exact or
+    bounded above (``model.sum_moments``).
 
     The remainder is the tail of the generation sums W_n, n > depth, so
     the bound is ``generation_moment_bound`` at n = depth + 1 times the
     geometric tail sum 1 / (1 - eta^(1/p))^p, with p = beta v 1
     (subadditivity below 1, Minkowski above) and eta the
     ``contraction_factor``.  Outside the contractive regime it
-    returns ``inf`` before any draw rather than raising, and where
+    returns ``inf`` rather than raising, and where
     ``(1 - eta^(1/p))^p`` underflows to 0 it returns ``inf`` too.
     """
     if beta <= 0:
@@ -454,7 +453,7 @@ def truncation_bound(model, beta, depth, rng=None):
     eta = contraction_factor(model, beta)
     if not contractive(eta):
         return math.inf
-    head = generation_moment_bound(model, beta, depth + 1, rng=rng).value
+    head = generation_moment_bound(model, beta, depth + 1).value
     p = max(beta, 1.0)
     tail_sum = (1.0 - eta ** (1.0 / p)) ** p
     return head / tail_sum if tail_sum > 0.0 else math.inf

@@ -49,7 +49,16 @@ def _exp(x):
 
 
 # ---------------------------------------------------------------------------
-# count laws (offspring distribution)
+# count laws (offspring distribution); binomial_moment(k) is E[C(N, k)],
+# the u^k coefficient of the generating function G_N(1 + u)
+
+
+def _comb(n, k):
+    """C(n, k) as a float, saturating at inf where the double overflows."""
+    try:
+        return float(math.comb(n, k))
+    except OverflowError:
+        return math.inf
 
 
 def _count_point(value, what):
@@ -72,9 +81,8 @@ class DeterministicCount:
     def mean(self):
         return float(self.value)
 
-    def pair_mean(self):
-        # E[N(N-1)/2]
-        return self.value * (self.value - 1) / 2.0
+    def binomial_moment(self, k):
+        return _comb(self.value, k)
 
     def prob_zero(self):
         return 1.0 if self.value == 0 else 0.0
@@ -120,8 +128,8 @@ class TwoPointCount:
     def mean(self):
         return self.a * self.pa + self.b * self.pb
 
-    def pair_mean(self):
-        return (self.a * (self.a - 1) * self.pa + self.b * (self.b - 1) * self.pb) / 2.0
+    def binomial_moment(self, k):
+        return self.pa * _comb(self.a, k) + self.pb * _comb(self.b, k)
 
     def prob_zero(self):
         return self.pa * (self.a == 0) + self.pb * (self.b == 0)
@@ -155,9 +163,8 @@ class GeometricCount:
     def mean(self):
         return (1.0 - self.p) / self.p
 
-    def pair_mean(self):
-        q = 1.0 - self.p
-        return q * q / (self.p * self.p)
+    def binomial_moment(self, k):
+        return _pow(self.mean(), k)
 
     def prob_zero(self):
         return self.p
@@ -199,8 +206,9 @@ class PoissonCount:
     def mean(self):
         return self.lam
 
-    def pair_mean(self):
-        return self.lam * self.lam / 2.0
+    def binomial_moment(self, k):
+        # lam^k / k! as a running product, finite where k! overflows
+        return math.prod(self.lam / j for j in range(1, k + 1))
 
     def prob_zero(self):
         return math.exp(-self.lam)
@@ -425,7 +433,7 @@ class MomentValue:
     """
 
     value: float
-    method: str  # "closed-form" | "monte-carlo"
+    method: str  # "closed-form" | "monte-carlo" | "interpolation-bound"
     std_error: float = 0.0
     suspect: bool = False
 
@@ -684,30 +692,88 @@ def verdict(value, limit, std_error=0.0):
     return bool(value <= limit + Z_VERDICT * std_error)
 
 
-def sum_moment(model, beta, reps=100_000, rng=None):
-    """E[(sum_i C_i)^beta].
+# A moment past the double range (inf, or NaN of inf times 0) enters the
+# series as e^(1e300): vast, yet finite in log form, so an empty term
+# (log 0 = -inf) meets it as 0 and never as NaN
+_LOG_OVERFLOW = 1e300
 
-    Closed form when N <= 1 almost surely (P(N=1) * E[C^beta]) or when both
-    laws are deterministic; Monte Carlo with a standard error otherwise.
+
+def _log_sum(terms):
+    """log of sum(exp(terms)), shifted by the top term; -inf if all are."""
+    top = terms.max()
+    if top == -np.inf:
+        return top
+    return top + np.log(np.exp(terms - top).sum())
+
+
+@np.errstate(all="ignore")
+def log_sum_moments(n_law, x_moments):
+    """log E[(X_1 + ... + X_N)^m] for m < len(x_moments), X_i iid of N
+    with E[X^a] = ``x_moments[a]``; at m = 0, log P(N > 0).
+
+    E[S^m] is m! times the t^m coefficient of G_N(1 + u(t)), with u(t) =
+    sum_(a >= 1) E[X^a] t^a / a! and G_N(1 + u) = sum_k E[C(N, k)] u^k.
+    No term is negative, so log-sum-exp cancels nothing and no order
+    leaves the double range before its own value does.  Poisson and
+    geometric counts take the recurrences of exp(lam u) and
+    1 / (1 - E[N] u); a bounded N expands the powers of u.  A longer
+    series repeats every coefficient of a shorter one bit for bit.
     """
-    if beta <= 0:
+    top = len(x_moments) - 1
+    log_factorial = np.array([math.lgamma(m + 1.0) for m in range(top + 1)])
+    log_u = np.fmin(np.log(x_moments), _LOG_OVERFLOW) - log_factorial
+    log_u[0] = -np.inf
+    f = np.full(top + 1, -np.inf)
+    f[0] = 0.0
+    n_max = n_law.max_value()
+    if n_max is not None:
+        power = f  # u^0, then u^k: its t^m term sums u^(k-1)_j u_(m-j)
+        for k in range(1, min(top, n_max) + 1):
+            power = np.array([-np.inf] + [_log_sum(power[:m] + log_u[m:0:-1])
+                                          for m in range(1, top + 1)])
+            weight = np.log(n_law.binomial_moment(k))
+            f = np.logaddexp(f, np.fmin(weight, _LOG_OVERFLOW) + power)
+    else:
+        steps = np.arange(1, top + 1)
+        if isinstance(n_law, PoissonCount):  # m f_m = lam sum_a a u_a f_(m-a)
+            scale, w = np.log(n_law.lam / steps), log_u[1:] + np.log(steps)
+        else:  # geometric: f_m = E[N] sum_a u_a f_(m-a)
+            scale, w = np.full(top, np.log(n_law.mean())), log_u[1:]
+        for m in steps:
+            f[m] = scale[m - 1] + _log_sum(w[:m] + f[m - 1::-1])
+    f[0] = np.log(1.0 - n_law.prob_zero())
+    return f + log_factorial
+
+
+def sum_moments(model, betas):
+    """E[(sum_i c_scale C_i)^beta] for every beta, from one series.
+
+    Closed form when N <= 1 almost surely; else exact at integer orders
+    (``log_sum_moments``), and at beta = a + theta Hoelder's upper bound
+    E[S^a]^(1 - theta) E[S^(a+1)]^theta, E[S^0] read as P(N > 0).  A
+    value above the double range is inf, never 0 or NaN.
+    """
+    if min(betas, default=1.0) <= 0:
         raise ModelError("moment order must be positive")
     n_max = model.n_law.max_value()
     if n_max is not None and n_max <= 1:
         p_one = 1.0 - model.n_law.prob_zero()
-        return MomentValue(p_one * model.c_moment(beta), "closed-form")
-    if isinstance(model.n_law, DeterministicCount) and isinstance(
-        model.c_law, DeterministicValue
-    ):
-        total = model.n_law.value * model.c_law.value * model.c_scale
-        return MomentValue(total ** beta, "closed-form")
-    if rng is None:
-        raise ModelError("sum_moment needs an rng for Monte Carlo estimation")
-    if reps < 1:
-        raise ModelError("reps must be >= 1")
-    counts, weights = model.draw_offspring(rng, reps)
-    owner = np.repeat(np.arange(reps), counts)
-    powered = fold_by_owner(np.add, owner, weights, reps) ** beta
-    estimate, se = mean_se(powered)
-    suspect = reps >= 1000 and dominated(powered)
-    return MomentValue(estimate, "monte-carlo", se, suspect=suspect)
+        return [MomentValue(p_one * model.c_moment(beta), "closed-form")
+                for beta in betas]
+    top = math.ceil(max(betas, default=0.0))
+    log_s = log_sum_moments(model.n_law, [model.c_moment(float(a))
+                                          for a in range(top + 1)])
+    out = []
+    for beta in betas:
+        a, theta = int(beta), beta % 1.0
+        log_value = log_s[a] if theta == 0.0 else (
+            (1.0 - theta) * log_s[a] + theta * log_s[a + 1])
+        out.append(MomentValue(_exp(log_value), "interpolation-bound"
+                               if theta else "closed-form"))
+    return out
+
+
+def sum_moment(model, beta):
+    """E[(sum_i c_scale C_i)^beta], exact or bounded above, as in
+    ``sum_moments``; it draws nothing."""
+    return sum_moments(model, [beta])[0]

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .model import ModelError, MomentValue, moment_function, sum_moment
+from .model import (ModelError, MomentValue, _pow, moment_function,
+                    sum_moment, sum_moments)
 
 # Contraction factors within float noise of 1 make the geometric series
 # closures meaningless (the bound blows past 1e20); treat them as divergent.
@@ -50,7 +51,7 @@ def fixed_point_mean_exact(model):
     return model.q_mean() / (1.0 - rho)
 
 
-def constructive_constant(model, beta, rng=None):
+def constructive_constant(model, beta):
     """The proof constant K_beta with E[W_n^beta] <= K_beta (rho v rho_beta)^n.
 
     Transcribed literally from the inductive proof as one induction from
@@ -59,21 +60,21 @@ def constructive_constant(model, beta, rng=None):
     K_x = E[Q^x] + E[(sum C)^x] K_below^(x/below) / eta
     / (1 - eta^((x - below)/below)), finite only while eta < 1.  At
     eta = 0 the weights sum to 0 almost surely, the second term vanishes
-    and K_x = E[Q^x].  The constant is not optimized; it makes
-    truncation certificates explicit.
+    and K_x = E[Q^x].  Every E[(sum C)^x], exact or an upper bound, comes
+    of one ``sum_moments`` series, so the constant draws nothing.  The
+    constant is not optimized; it makes truncation certificates explicit.
 
     Parameters
     ----------
     model : VectorModel
     beta : float
         Moment order, >= 1.
-    rng : numpy Generator, optional
-        Needed only when E[(sum C)^x] has no closed form.
 
     Returns
     -------
     MomentValue
-        Infinite outside the contractive regime.
+        Infinite outside the contractive regime or past the double range;
+        ``method`` is that of E[(sum C)^beta].
     """
     if beta < 1.0:
         raise BoundError("constructive constant is defined for beta >= 1")
@@ -86,24 +87,22 @@ def constructive_constant(model, beta, rng=None):
         orders.append(float(beta))
     k = model.q_mean()
     method = "closed-form"
-    suspect = False
-    for x in orders:
+    for x, csum in zip(orders, sum_moments(model, orders)):
         below = math.ceil(x) - 1
         eta = contraction_factor(model, x)
         if eta == 0.0:
             k = model.q_moment(x)
             continue
-        csum = sum_moment(model, x, rng=rng)
-        if csum.method == "monte-carlo":
-            method = "monte-carlo"
-            suspect = suspect or csum.suspect
-        big_k = csum.value * k ** (x / below)
+        method = csum.method
+        big_k = csum.value * _pow(k, x / below)
         series = 1.0 / (1.0 - eta ** ((x - below) / below))
         k = model.q_moment(x) + big_k / eta * series
-    return MomentValue(k, method, suspect=suspect)
+        if not k < math.inf:  # inf, or NaN of a 0 sum moment times inf
+            return MomentValue(math.inf, method)
+    return MomentValue(k, method)
 
 
-def generation_moment_bound(model, beta, n, rng=None):
+def generation_moment_bound(model, beta, n):
     """Analytic upper bound on E[W_n^beta].
 
     beta <= 1: E[Q^beta] rho_beta^n by subadditivity, valid with no
@@ -125,27 +124,23 @@ def generation_moment_bound(model, beta, n, rng=None):
         bound = MomentValue(model.q_moment(beta) * eta ** n,
                             "generation-subadditive")
     else:
-        k_beta = constructive_constant(model, beta, rng=rng)
+        k_beta = constructive_constant(model, beta)
         if math.isinf(k_beta.value):
             return MomentValue(math.inf, "generation-constructive")
-        bound = MomentValue(k_beta.value * eta ** n, "generation-constructive",
-                            k_beta.std_error, suspect=k_beta.suspect)
+        bound = MomentValue(k_beta.value * eta ** n, "generation-constructive")
     if not bound.value >= 0.0:
         raise BoundError("moment bounds are nonnegative")
     return bound
 
 
-def _sum_interpolation_bound(model, beta, y_values, rng=None):
+def _sum_interpolation_bound(model, beta, y_values):
     """Bound on E[(sum C_i Y_i)^beta - sum (C_i Y_i)^beta], Y iid, Y >= 0.
 
     (E[Y^(p-1)])^(beta/(p-1)) * E[(sum C)^beta] with p = ceil(beta) and
-    E[Y^(p-1)] the mean over ``y_values``; only for beta > 1.  ``rng`` is
-    needed only when E[(sum C)^beta] has no closed form.
+    E[Y^(p-1)] the mean over ``y_values``; only for beta > 1.
     """
     if beta <= 1.0:
         raise BoundError("the sum inequality applies for beta > 1")
     p = math.ceil(beta)
     y_moment = float(np.mean(np.asarray(y_values, dtype=float) ** (p - 1)))
-    csum = sum_moment(model, beta, rng=rng)
-    return y_moment ** (beta / (p - 1.0)) * csum.value
-
+    return y_moment ** (beta / (p - 1.0)) * sum_moment(model, beta).value

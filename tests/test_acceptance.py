@@ -76,7 +76,7 @@ def _generation_variance(model, n):
     off the count and weight laws.
     """
     phi2 = moment_function(model, 2.0).value
-    cross = 2.0 * model.n_law.pair_mean() * model.c_moment(1.0) ** 2
+    cross = 2.0 * model.n_law.binomial_moment(2) * model.c_moment(1.0) ** 2
     rho = moment_function(model, 1.0).value
     m1 = model.q_moment(1.0)
     m2 = model.q_moment(2.0)

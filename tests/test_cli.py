@@ -232,6 +232,37 @@ def test_an_underflowed_truncation_tail_sum_is_an_infinite_bound(tmp_path):
     assert read_json(tmp_path / "summary.json")["truncation_bound"] == "inf"
 
 
+POISSON_TREE = {"n": {"family": "poisson", "mean": 2.0},
+                "c": {"family": "uniform", "b": 0.4},
+                "q": {"family": "uniform", "b": 1.0}}
+UNIFORM_CHAIN = {"n": {"family": "two-point", "values": {0: 0.5, 1: 0.5}},
+                 "c": {"family": "uniform", "b": 1.0},
+                 "q": {"family": "deterministic", "value": 1.0}}
+
+
+@pytest.mark.parametrize("spec, setting, command", [
+    (POISSON_TREE, "truncation_beta=64", "simulate"),
+    (UNIFORM_CHAIN, "truncation_beta=1024", "simulate"),
+    (UNIFORM_CHAIN, "verify.moment_betas=[1024.0]", "verify"),
+])
+def test_a_constant_past_the_double_range_saturates(tmp_path, capsys, spec,
+                                                     setting, command):
+    # K_beta's powers leave the double range at high orders: the bound is
+    # inf (or finite), never an OverflowError out of the command
+    path = write_config(tmp_path, spec, reps=200, depth=5,
+                        output_dir=str(tmp_path),
+                        verify={"renewal_reps": 500, "moment_reps": 500,
+                                "iterate_reps": 500})
+    argv = ["--config", path, "--set", setting, command]
+    if command == "simulate":
+        assert main(argv + ["--force"]) == 0
+        bound = read_json(tmp_path / "summary.json")["truncation_bound"]
+        assert bound == "inf" or 0.0 <= bound < math.inf
+    else:
+        assert main(argv) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_default_bracket_solves_and_certifies_poisson2(tmp_path):
     # E[N] = 2 puts the moment function above 1 at both ends of (0.1, 8),
     # the bracket the solver took by default before 0.11.0
@@ -1025,10 +1056,10 @@ def test_estimators_draw_from_independent_streams(analyzed, tmp_path,
             return original(*args, **kwargs)
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("tail_report", "tail_constant_report",
-                 "generation_moment_bound"):
+    for name in ("tail_report", "tail_constant_report"):
         spy(name)
     spy("factorization_checks", rng_at=5)
+    spy("_martingale_forest", rng_at=4)
     _, out = analyzed
     path = write_config(tmp_path, model_b_spec(0.9), seed=13,
                         output_dir=str(tmp_path / "out"))
@@ -1037,7 +1068,7 @@ def test_estimators_draw_from_independent_streams(analyzed, tmp_path,
     assert seen["tail_report"] != seen["tail_constant_report"]
     assert main(["--config", quick_verify_config(tmp_path),
                  "verify"]) in (0, 3)
-    assert seen["factorization_checks"] != seen["generation_moment_bound"]
+    assert seen["factorization_checks"] != seen["_martingale_forest"]
 
 
 def test_forest_w_n_has_the_martingale_law(model_a):

@@ -53,7 +53,7 @@ def test_closed_form_martingale_scales_with_the_squared_mean_mark(model_a):
     # the batch tends to E[mark] times the martingale limit, so H takes
     # E[mark]^2; unit marks keep E[pair sum] / mu to the bit
     unit = tail_constant_closed_form(model_a, 2.0, "homogeneous-martingale")
-    pair = model_a.n_law.pair_mean() * model_a.c_moment(1.0) ** 2
+    pair = model_a.n_law.binomial_moment(2) * model_a.c_moment(1.0) ** 2
     mu = moment_function_deriv(model_a, 2.0).value
     assert unit == pair / mu
     doubled = make_model(dict(model_a_spec(), q=det(2.0)))
@@ -228,8 +228,7 @@ def test_bounds_martingale_fractional_upper_dominates_mc(model_a):
     assert abs(sol.alpha - round(sol.alpha)) > 1e-3
     batch = run_batch(scaled, "homogeneous-martingale", 12, 30_000, seed=5)
     lower, upper = tail_constant_bounds(
-        scaled, sol, "homogeneous-martingale", r_batch=batch,
-        rng=np.random.default_rng(1))
+        scaled, sol, "homogeneous-martingale", r_batch=batch)
     assert lower is None and upper is not None
     est = tail_constant_mc(scaled, sol, "homogeneous-martingale", batch,
                            reps=30_000, min_batch=10_000)

@@ -898,8 +898,7 @@ def test_truncation_bound_infinite_without_contraction(model_a):
 
 
 def test_truncation_bound_above_one_uses_interpolated_constant(model_b03):
-    rng = np.random.default_rng(44)
-    value = truncation_bound(model_b03, 1.5, 10, rng=rng)
+    value = truncation_bound(model_b03, 1.5, 10)
     assert 0.0 < value < 1e-3
 
 

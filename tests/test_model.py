@@ -399,15 +399,10 @@ def test_sum_moment_deterministic():
 
 
 def test_sum_moment_mc_expansion(model_a):
-    rng = np.random.default_rng(5)
-    v = sum_moment(model_a, 2.0, reps=1_000_000, rng=rng)
-    assert v.method == "monte-carlo"
-    assert abs(v.value - SUM2_A) < 3 * v.std_error
-
-
-def test_sum_moment_requires_rng_for_mc(model_a):
-    with pytest.raises(ModelError, match="rng"):
-        sum_moment(model_a, 2.0, rng=None)
+    # E[(C_1 + ... + C_N)^2] = E[N] E[C^2] + 2 E[C(N, 2)] E[C]^2, exact
+    v = sum_moment(model_a, 2.0)
+    assert v.method == "closed-form" and v.std_error == 0.0
+    assert v.value == pytest.approx(SUM2_A, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +476,13 @@ def test_geometric_law_matches_its_draws():
     # estimate must lie within 4 of its standard errors
     for exact, stat in [
         (law.mean(), counts),
-        (law.pair_mean(), counts * (counts - 1) / 2.0),
+        (law.binomial_moment(2), counts * (counts - 1) / 2.0),
         (law.prob_zero(), counts == 0),
         (law.prob_at_least_two(), counts >= 2),
     ]:
         estimate, se = mean_se(np.asarray(stat, dtype=float))
         assert abs(estimate - exact) <= 4.0 * se
-    assert (law.mean(), law.pair_mean()) == pytest.approx((1.5, 2.25))
+    assert (law.mean(), law.binomial_moment(2)) == pytest.approx((1.5, 2.25))
     assert (law.prob_zero(), law.prob_at_least_two()) == pytest.approx(
         (0.4, 0.36))
 
